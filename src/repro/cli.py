@@ -125,43 +125,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if worst < 0.35 else 1
 
 
-def _apply_crypto_env(args: argparse.Namespace) -> None:
-    """Project ``--threads``/``--arena`` onto the crypto env switches.
-
-    Schemes that build their rekeyers internally (the two-partition and
-    loss-homogenized servers, every server the chaos harness constructs)
-    pick the knobs up from ``REPRO_BULK_THREADS``/``REPRO_SECRET_ARENA``;
-    setting the env here is the one mechanism that reaches all of them.
-    Both knobs are execution-only — payload bytes never change.  An
-    oversubscribed thread budget is reported, not silently accepted.
-    """
-    import os
-
-    from repro.crypto.bulk import THREADS_ENV, thread_oversubscription_warning
-
-    threads = getattr(args, "threads", None)
-    arena = getattr(args, "arena", None)
-    if threads is not None:
-        os.environ[THREADS_ENV] = str(threads)
-    if arena:
-        from repro.crypto.arena import ARENA_ENV
-
-        os.environ[ARENA_ENV] = "1"
-    warning = thread_oversubscription_warning(threads)
-    if warning is not None:
-        print(f"warning: {warning}", file=sys.stderr)
-
-
 def _build_server(
     scheme: str,
     degree: int,
     s_period: float,
     shards: int = 4,
-    workers: int = 1,
-    backend: str = "serial",
     tree_kernel: str = "object",
-    threads: Optional[int] = None,
-    arena: Optional[bool] = None,
 ):
     from repro.server.losshomog import LossHomogenizedServer
     from repro.server.onetree import OneTreeServer
@@ -169,21 +138,10 @@ def _build_server(
     from repro.server.twopartition import TwoPartitionServer
 
     if scheme == "one":
-        return OneTreeServer(
-            degree=degree,
-            tree_kernel=tree_kernel,
-            threads=threads,
-            arena=arena,
-        )
+        return OneTreeServer(degree=degree, tree_kernel=tree_kernel)
     if scheme == "sharded":
         return ShardedOneTreeServer(
-            shards=shards,
-            workers=workers,
-            backend=backend,
-            degree=degree,
-            tree_kernel=tree_kernel,
-            threads=threads,
-            arena=arena,
+            shards=shards, degree=degree, tree_kernel=tree_kernel
         )
     if scheme in ("qt", "tt", "pt"):
         return TwoPartitionServer(mode=scheme, s_period=s_period, degree=degree)
@@ -261,17 +219,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.quick:
         args.horizon = min(args.horizon, 600.0)
         args.warmup = min(args.warmup, 2)
-    _apply_crypto_env(args)
     server = _build_server(
         args.scheme,
         args.degree,
         args.s_period,
         shards=args.shards,
-        workers=args.workers,
-        backend=args.backend,
         tree_kernel=args.tree_kernel,
-        threads=args.threads,
-        arena=args.arena,
     )
     transport = _build_transport(args.transport)
     needs_population = transport is not None or args.scheme in (
@@ -339,8 +292,6 @@ def _record_bench_session(report: dict, out: str) -> None:
                     cell["name"]: {
                         "total_s": cell["optimized"]["total_s"],
                         "shards": cell["shards"],
-                        "workers": cell["workers"],
-                        "backend": cell["backend"],
                     }
                     for cell in report["scenarios"]
                 },
@@ -352,15 +303,10 @@ def _record_bench_session(report: dict, out: str) -> None:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.perf.bench import profile_scenario, run_bench
 
-    _apply_crypto_env(args)
     if args.profile:
         try:
             out_path = profile_scenario(
-                args.profile,
-                quick=args.quick,
-                reps=args.profile_reps,
-                threads=args.threads,
-                arena=args.arena,
+                args.profile, quick=args.quick, reps=args.profile_reps
             )
         except KeyError as exc:
             print(f"ERROR: {exc.args[0]}", file=sys.stderr)
@@ -392,17 +338,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
     if worst is not None:
         print(f"worst optimized-vs-baseline speedup: {worst:.1f}x")
-    mismatched = [
-        cell["name"]
-        for cell in report["scenarios"]
-        if cell["mean_batch_cost_matches_serial"] is False
-    ]
-    if mismatched:
-        print(
-            "ERROR: backend changed mean_batch_cost in: " + ", ".join(mismatched),
-            file=sys.stderr,
-        )
-        return 1
     kernel_mismatched = [
         cell["name"]
         for cell in report["scenarios"]
@@ -424,18 +359,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(
             "ERROR: bulk crypto engine changed mean_batch_cost in: "
             + ", ".join(bulk_mismatched),
-            file=sys.stderr,
-        )
-        return 1
-    thread_mismatched = [
-        cell["name"]
-        for cell in report["scenarios"]
-        if cell.get("mean_batch_cost_matches_bulk") is False
-    ]
-    if thread_mismatched:
-        print(
-            "ERROR: threaded wrap engine / arena changed mean_batch_cost "
-            "in: " + ", ".join(thread_mismatched),
             file=sys.stderr,
         )
         return 1
@@ -461,55 +384,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(
                 f"ERROR: bulk cost-only speedup below the 3.0x floor vs "
                 f"the object kernel on a {report['cpus']}-CPU host: {slow}",
-                file=sys.stderr,
-            )
-            return 1
-    # Threaded-wrap floor: at >= 100k members the worker threads + arena
-    # must beat the single-threaded bulk engine — again only where there
-    # are cores for the HMAC workers to run on.
-    threaded_cells = [
-        (cell["name"], cell["speedup_vs_bulk"])
-        for cell in report["scenarios"]
-        if cell["mode"] == "cost-only"
-        and cell["members"] >= 100_000
-        and cell.get("speedup_vs_bulk") is not None
-    ]
-    if threaded_cells and report["cpus"] < 2:
-        print(
-            f"note: single-CPU host (cpus={report['cpus']}); "
-            "speedup_vs_bulk reflects thread-pool overhead, floor not "
-            "enforced"
-        )
-    elif threaded_cells:
-        slow = [(name, s) for name, s in threaded_cells if s < 1.0]
-        if slow:
-            print(
-                f"ERROR: threaded wrap speedup below 1.0x vs the "
-                f"single-threaded bulk engine on a {report['cpus']}-CPU "
-                f"host: {slow}",
-                file=sys.stderr,
-            )
-            return 1
-    # The parallel-speedup floor is cpu-aware: on a single usable core a
-    # process pool cannot beat serial, so only the determinism gates above
-    # are meaningful there (BENCH_hotpath.json was once recorded on a
-    # 1-CPU box, making speedup_vs_serial < 1 look like a regression).
-    parallel_cells = [
-        (cell["name"], cell["speedup_vs_serial"])
-        for cell in report["scenarios"]
-        if cell["speedup_vs_serial"] is not None
-    ]
-    if parallel_cells and report["cpus"] < 2:
-        print(
-            f"note: single-CPU host (cpus={report['cpus']}); "
-            "speedup_vs_serial reflects pool overhead, not a regression"
-        )
-    elif parallel_cells:
-        slow = [(name, s) for name, s in parallel_cells if s < 1.0]
-        if slow:
-            print(
-                f"ERROR: sharded speedup below 1.0x vs serial on a "
-                f"{report['cpus']}-CPU host: {slow}",
                 file=sys.stderr,
             )
             return 1
@@ -570,7 +444,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         if args.schedules
         else tuple(STANDARD_SCHEDULES) + ("randomized",)
     )
-    _apply_crypto_env(args)
     if args.quick:
         schemes = schemes[:2]
         schedules = tuple(
@@ -870,24 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(results are identical to --workers 1)"
     )
 
-    def add_crypto_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            metavar="N",
-            help="wrap-engine HMAC worker threads (default: "
-            "REPRO_BULK_THREADS or auto; execution only, payload bytes "
-            "are identical at any thread count)",
-        )
-        p.add_argument(
-            "--arena",
-            action="store_true",
-            default=None,
-            help="plan bulk wraps from the persistent secret arena "
-            "(zero-copy; execution only, payload bytes are identical)",
-        )
-
     p = sub.add_parser("figures", help="regenerate the paper's figure tables")
     p.add_argument(
         "figure", choices=FIGURES + ("all",), nargs="?", default="all"
@@ -939,18 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharded scheme: number of LKH subtrees (protocol parameter)",
     )
     p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="sharded scheme: executor lanes (execution only, no payload effect)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=("serial", "thread", "process"),
-        default="serial",
-        help="sharded scheme: executor backend (execution only)",
-    )
-    p.add_argument(
         "--tree-kernel",
         choices=("object", "flat"),
         default="object",
@@ -986,7 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="CI-sized session (caps --horizon at 600 s and --warmup at 2)",
     )
-    add_crypto_flags(p)
     add_obs_flags(p, "simulate")
     p.set_defaults(func=_cmd_simulate)
 
@@ -1013,8 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SCENARIO",
         help="run one named scenario under cProfile and write the top-25 "
         "cumulative-time table to benchmarks/out/profile_<name>.txt "
-        "(skips the rest of the matrix; --threads/--arena override the "
-        "cell's wrap-engine config)",
+        "(skips the rest of the matrix)",
     )
     p.add_argument(
         "--profile-reps",
@@ -1039,7 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cost-metric regressions fail (exit 1); wall-time deltas fail only "
         "when the hosts are comparable, otherwise warn",
     )
-    add_crypto_flags(p)
     add_obs_flags(p, "bench")
     p.set_defaults(func=_cmd_bench)
 
@@ -1068,7 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out", default="BENCH_chaos.json", help="where to write the report"
     )
-    add_crypto_flags(p)
     add_obs_flags(p, "chaos")
     p.set_defaults(func=_cmd_chaos)
 

@@ -24,22 +24,18 @@ Public API
                             cost-only mode: postpone wrap ciphertexts
 """
 
-from repro.crypto.arena import SecretArena, arena_enabled
 from repro.crypto.bulk import (
     PackedWraps,
     bulk_enabled,
     derive_secret_list,
     derive_secrets,
     encrypt_wrap_rows,
-    resolve_threads,
-    thread_oversubscription_warning,
 )
 from repro.crypto.cipher import AuthenticationError, decrypt, encrypt
 from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import (
     EncryptedKey,
     LazyEncryptedKey,
-    PlannedEncryptedKey,
     WrapIndex,
     deferred_wraps,
     set_wrap_mode,
@@ -55,10 +51,7 @@ __all__ = [
     "KeyMaterial",
     "LazyEncryptedKey",
     "PackedWraps",
-    "PlannedEncryptedKey",
-    "SecretArena",
     "WrapIndex",
-    "arena_enabled",
     "bulk_enabled",
     "decrypt",
     "deferred_wraps",
@@ -66,9 +59,7 @@ __all__ = [
     "derive_secrets",
     "encrypt",
     "encrypt_wrap_rows",
-    "resolve_threads",
     "set_wrap_mode",
-    "thread_oversubscription_warning",
     "unwrap_key",
     "wrap_key",
     "wrap_mode",

@@ -20,25 +20,9 @@ operations over contiguous buffers:
   ``n * 48`` output buffer.
 * :class:`PackedWraps` — a columnar, pickle-cheap stand-in for a list of
   :class:`~repro.crypto.wrap.EncryptedKey` records: identity columns
-  plus either the ciphertext buffer (eager), the secret columns
+  plus either the ciphertext buffer (eager) or the secret columns
   (deferred — the whole pack encrypts in one batched pass on first
-  ciphertext access), or nothing at all (cost-only handles).  Shard
-  fragments carry the pack itself, so process-pool IPC ships one bytes
-  blob per shard instead of thousands of per-key objects.
-
-GIL-parallel execution
-----------------------
-``hashlib``/``hmac`` digest updates release the GIL, so the wrap
-planner's per-wrapping-key groups parallelize across real cores.  With
-``threads > 1`` (parameter, or ``REPRO_BULK_THREADS``; default auto)
-:func:`encrypt_wrap_rows` partitions the groups into row-balanced chunks
-and runs them on a process-wide reusable :class:`ThreadPoolExecutor`;
-every worker writes its rows into disjoint slices of the single
-preallocated ciphertext buffer, so there is no merge copy.  Small plans
-(fewer than :data:`MIN_ROWS_PER_THREAD` rows per worker) stay serial —
-dispatch overhead would beat the crypto.  Threading is an execution
-parameter like the shard backend: payload bytes are identical for every
-thread count, enforced by the differential battery and golden fixtures.
+  ciphertext access).
 
 Byte-identity contract
 ----------------------
@@ -55,13 +39,11 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro.crypto.cipher import _subkeys
 from repro.crypto.material import KEY_SIZE
-from repro.crypto.wrap import EncryptedKey, PlannedEncryptedKey
+from repro.crypto.wrap import EncryptedKey
 from repro.obs import metrics as obs_metrics
 
 try:  # numpy is a declared dependency, but the engine degrades without it
@@ -89,104 +71,6 @@ def bulk_enabled(flag: Optional[bool] = None) -> bool:
     return os.environ.get(BULK_ENV, "").strip().lower() in (
         "1", "true", "yes", "on",
     )
-
-
-THREADS_ENV = "REPRO_BULK_THREADS"
-"""Environment knob for the wrap engine's worker-thread count.  An
-integer forces that many threads for every rekeyer constructed with
-``threads=None``; ``auto`` (or unset) picks
-``min(usable cpus, AUTO_THREAD_CAP)``.  Execution-only: payload bytes
-never depend on it."""
-
-AUTO_THREAD_CAP = 4
-"""Ceiling for the ``auto`` thread count.  HMAC batching stops scaling
-well past a few cores (the per-row Python bookkeeping between digest
-calls serializes), so auto-resolution never grabs a whole big box."""
-
-MIN_ROWS_PER_THREAD = 256
-"""Minimum wrap rows per worker before an extra thread pays for itself.
-Below this, pool dispatch and chunk bookkeeping cost more than the ~2
-HMAC digests per row they would parallelize, so small plans run serial
-regardless of the configured thread count."""
-
-
-def _usable_cpus() -> int:
-    """Affinity-aware usable CPU count (duplicated from
-    :func:`repro.perf.parallel.available_cpus` — importing it here would
-    cycle, since that module imports :class:`PackedWraps`)."""
-    if hasattr(os, "sched_getaffinity"):
-        try:
-            return len(os.sched_getaffinity(0)) or 1
-        except OSError:  # pragma: no cover - exotic platforms
-            pass
-    return os.cpu_count() or 1
-
-
-def resolve_threads(threads: Optional[int] = None) -> int:
-    """Resolve a ``threads`` argument against :data:`THREADS_ENV`.
-
-    An explicit positive integer wins; ``None`` (or ``"auto"``) defers to
-    the environment, and an unset/``auto`` environment picks
-    ``min(usable cpus, AUTO_THREAD_CAP)``.  The result is always >= 1.
-    """
-    if threads is None or threads == "auto":
-        env = os.environ.get(THREADS_ENV, "").strip().lower()
-        if env in ("", "auto"):
-            return max(1, min(_usable_cpus(), AUTO_THREAD_CAP))
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{THREADS_ENV} must be an integer or 'auto', got {env!r}"
-            ) from None
-    return max(1, int(threads))
-
-
-def thread_oversubscription_warning(
-    threads: Optional[int] = None,
-) -> Optional[str]:
-    """A human-readable warning when the wrap engine is oversubscribed.
-
-    Returns ``None`` unless the resolved thread count exceeds the host's
-    CPU count — auto-resolution can never trigger it, only an explicit
-    ``threads=`` or ``REPRO_BULK_THREADS`` setting can.  ``repro bench``
-    surfaces this in its report's ``warnings[]`` instead of silently
-    timesharing HMAC workers on too few cores.
-    """
-    resolved = resolve_threads(threads)
-    cpus = os.cpu_count() or 1
-    if resolved <= cpus:
-        return None
-    return (
-        f"wrap engine configured for {resolved} threads but the host has "
-        f"{cpus} CPU(s); HMAC workers will timeshare "
-        f"(set {THREADS_ENV}<={cpus} or pass threads={cpus})"
-    )
-
-
-_pool_lock = threading.Lock()
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_size = 0
-
-
-def _shared_pool(threads: int) -> ThreadPoolExecutor:
-    """The process-wide reusable wrap-worker pool (grow-only).
-
-    One persistent pool serves every rekeyer in the process, so a server
-    doing thousands of batches never pays thread start-up per batch; a
-    request for more workers than the pool has grows it in place.
-    """
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool is None or _pool_size < threads:
-            old = _pool
-            _pool = ThreadPoolExecutor(
-                max_workers=threads, thread_name_prefix="bulk-wrap"
-            )
-            _pool_size = threads
-            if old is not None:
-                old.shutdown(wait=False)
-        return _pool
 
 
 # ----------------------------------------------------------------------
@@ -250,82 +134,6 @@ def wrap_nonce(
     ).encode("utf-8")
 
 
-def _wrap_chunk(
-    groups: Sequence[Tuple[bytes, List[int]]],
-    nonces: Sequence[bytes],
-    payload_secrets: Sequence[bytes],
-    out: bytearray,
-) -> int:
-    """Encrypt the rows of ``groups`` into their slices of ``out``.
-
-    One worker's share of a wrap plan: keystream digests per row, one
-    vectorized XOR over the chunk's packed rows, then tag digests — the
-    exact per-row byte recipe of :func:`repro.crypto.cipher.encrypt`, so
-    output bytes are independent of how rows are chunked or grouped.
-    Every row index appears in exactly one chunk, so concurrent workers
-    write disjoint ``out`` slices and need no synchronization; the HMAC
-    digest calls release the GIL, which is where the parallelism comes
-    from.  Returns the number of rows written.
-    """
-    sha256 = hashlib.sha256
-    rows_flat: List[int] = []
-    for __, rows in groups:
-        rows_flat.extend(rows)
-    m = len(rows_flat)
-    keystream = bytearray(m * KEY_SIZE)
-    tag_groups = []
-    position = 0
-    for secret, rows in groups:
-        if type(secret) is not bytes:
-            secret = bytes(secret)  # memoryview (arena) -> hashable key
-        enc_key, mac_key = _subkeys(secret)
-        ks_template = hmac.new(enc_key, b"", sha256)
-        for i in rows:
-            block = ks_template.copy()
-            block.update(nonces[i])
-            block.update(_ZERO8)
-            base = position * KEY_SIZE
-            keystream[base : base + KEY_SIZE] = block.digest()
-            position += 1
-        tag_groups.append((hmac.new(mac_key, b"", sha256), rows))
-
-    plain = b"".join(payload_secrets[i] for i in rows_flat)
-    ciphertexts = _xor_blocks(plain, bytes(keystream))
-
-    position = 0
-    for tag_template, rows in tag_groups:
-        for i in rows:
-            base = position * KEY_SIZE
-            row = ciphertexts[base : base + KEY_SIZE]
-            tag = tag_template.copy()
-            tag.update(nonces[i])
-            tag.update(row)
-            slot = i * WRAP_SIZE
-            out[slot : slot + KEY_SIZE] = row
-            out[slot + KEY_SIZE : slot + WRAP_SIZE] = tag.digest()[:_TAG_SIZE]
-            position += 1
-    return m
-
-
-def _balanced_chunks(
-    groups: List[Tuple[bytes, List[int]]], parts: int
-) -> List[List[Tuple[bytes, List[int]]]]:
-    """Partition ``groups`` into ``parts`` row-balanced chunks.
-
-    Greedy largest-first onto the lightest chunk: group boundaries are
-    preserved (a group's HMAC template is per-worker state), so balance
-    is by total row count, the quantity proportional to HMAC work.
-    """
-    order = sorted(range(len(groups)), key=lambda g: -len(groups[g][1]))
-    loads = [0] * parts
-    chunks: List[List[Tuple[bytes, List[int]]]] = [[] for _ in range(parts)]
-    for g in order:
-        lightest = loads.index(min(loads))
-        chunks[lightest].append(groups[g])
-        loads[lightest] += len(groups[g][1])
-    return [chunk for chunk in chunks if chunk]
-
-
 def encrypt_wrap_rows(
     wrapping_ids: Sequence[str],
     wrapping_versions: Sequence[int],
@@ -333,7 +141,6 @@ def encrypt_wrap_rows(
     payload_versions: Sequence[int],
     wrapping_secrets: Sequence[bytes],
     payload_secrets: Sequence[bytes],
-    threads: Optional[int] = None,
     group_keys: Optional[Sequence[Hashable]] = None,
 ) -> bytes:
     """Encrypt ``n`` wraps into one ``n * WRAP_SIZE`` buffer.
@@ -342,22 +149,14 @@ def encrypt_wrap_rows(
     ``encrypt(wrapping_secrets[i], nonce_i, payload_secrets[i])``.  The
     planner groups rows by wrapping key so each distinct key pays its
     subkey derivation and HMAC key-padding once (``hmac`` templates are
-    ``.copy()``-ed per row); each chunk's keystream/plaintext XOR runs
-    once over its packed rows.  Output row order is input order
-    regardless of grouping or chunking, so callers' wire order is
-    untouched.
-
-    ``threads`` (default: :func:`resolve_threads` of the environment)
-    splits the groups into row-balanced chunks executed on the shared
-    worker pool, each writing disjoint slices of the one preallocated
-    output buffer.  Plans smaller than :data:`MIN_ROWS_PER_THREAD` per
-    worker run serial.
+    ``.copy()``-ed per row); the keystream/plaintext XOR runs once over
+    the packed matrices.  Output row order is input order regardless of
+    grouping, so callers' wire order is untouched.
 
     ``group_keys`` optionally supplies one hashable grouping key per row
-    (e.g. an arena slot or the wrapping key id).  Rows sharing a key must
-    share a wrapping secret; callers whose secrets are unhashable
-    zero-copy ``memoryview``\\ s use this to skip per-row ``bytes``
-    conversions.  Grouping never affects output bytes — only which rows
+    (e.g. the wrapping key id).  Rows sharing a key must share a wrapping
+    secret; grouping by a short id is cheaper than hashing 32-byte
+    secrets.  Grouping never affects output bytes — only which rows
     share an HMAC template.
     """
     n = len(wrapping_ids)
@@ -372,10 +171,7 @@ def encrypt_wrap_rows(
     if group_keys is None:
         for i, secret in enumerate(wrapping_secrets):
             by_key.setdefault(secret, []).append(i)
-        groups = [
-            (secret if type(secret) is bytes else bytes(secret), rows)
-            for secret, rows in by_key.items()
-        ]
+        groups = list(by_key.items())
     else:
         for i, key in enumerate(group_keys):
             by_key.setdefault(key, []).append(i)
@@ -383,29 +179,35 @@ def encrypt_wrap_rows(
             (wrapping_secrets[rows[0]], rows) for rows in by_key.values()
         ]
 
+    sha256 = hashlib.sha256
+    keystream = bytearray(n * KEY_SIZE)
+    tag_groups = []
+    for secret, rows in groups:
+        enc_key, mac_key = _subkeys(secret)
+        ks_template = hmac.new(enc_key, b"", sha256)
+        for i in rows:
+            block = ks_template.copy()
+            block.update(nonces[i])
+            block.update(_ZERO8)
+            base = i * KEY_SIZE
+            keystream[base : base + KEY_SIZE] = block.digest()
+        tag_groups.append((hmac.new(mac_key, b"", sha256), rows))
+
+    ciphertexts = _xor_blocks(b"".join(payload_secrets), bytes(keystream))
+
     out = bytearray(n * WRAP_SIZE)
-    threads = resolve_threads(threads)
-    use = min(threads, len(groups), max(1, n // MIN_ROWS_PER_THREAD))
-    if use <= 1:
-        _wrap_chunk(groups, nonces, payload_secrets, out)
-        if obs_metrics.active_registry() is not None:
-            obs_metrics.inc("bulk.wrap_rows", n)
-            obs_metrics.inc("bulk.wrap_chunks")
-            obs_metrics.gauge_set("bulk.wrap_threads", 1)
-    else:
-        chunks = _balanced_chunks(groups, use)
-        pool = _shared_pool(threads)
-        futures = [
-            pool.submit(_wrap_chunk, chunk, nonces, payload_secrets, out)
-            for chunk in chunks
-        ]
-        sizes = [future.result() for future in futures]
-        if obs_metrics.active_registry() is not None:
-            obs_metrics.inc("bulk.wrap_rows", n)
-            obs_metrics.inc("bulk.wrap_chunks", len(chunks))
-            obs_metrics.gauge_set("bulk.wrap_threads", len(chunks))
-            for size in sizes:
-                obs_metrics.observe("bulk.wrap_chunk_rows", size)
+    for tag_template, rows in tag_groups:
+        for i in rows:
+            base = i * KEY_SIZE
+            row = ciphertexts[base : base + KEY_SIZE]
+            tag = tag_template.copy()
+            tag.update(nonces[i])
+            tag.update(row)
+            slot = i * WRAP_SIZE
+            out[slot : slot + KEY_SIZE] = row
+            out[slot + KEY_SIZE : slot + WRAP_SIZE] = tag.digest()[:_TAG_SIZE]
+    if obs_metrics.active_registry() is not None:
+        obs_metrics.inc("bulk.wrap_rows", n)
     return bytes(out)
 
 
@@ -420,8 +222,8 @@ class PackedEncryptedKey(EncryptedKey):
     Identity fields are copied out eagerly (cost metrics, indexing and
     interest closure read them constantly); the ciphertext resolves
     through the pack, which batch-encrypts all rows on first access.
-    Views pickle as standalone records (eager or planned, never the
-    whole pack) so a stray per-key pickle cannot ship the batch.
+    Views pickle as standalone eager records, never the whole pack, so a
+    stray per-key pickle cannot ship the batch.
     """
 
     def __init__(self, pack: "PackedWraps", row: int) -> None:
@@ -445,16 +247,6 @@ class PackedEncryptedKey(EncryptedKey):
         return self._pack.buffer is not None
 
     def __reduce__(self):
-        if self._pack.handles_only:
-            return (
-                PlannedEncryptedKey,
-                (
-                    self.wrapping_id,
-                    self.wrapping_version,
-                    self.payload_id,
-                    self.payload_version,
-                ),
-            )
         return (
             EncryptedKey,
             (
@@ -467,8 +259,7 @@ class PackedEncryptedKey(EncryptedKey):
         )
 
     # Content-based comparison across every EncryptedKey flavor, exactly
-    # like LazyEncryptedKey; handles-mode rows compare identity only, the
-    # PlannedEncryptedKey convention.
+    # like LazyEncryptedKey.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EncryptedKey):
             return NotImplemented
@@ -479,22 +270,18 @@ class PackedEncryptedKey(EncryptedKey):
             or self.payload_version != other.payload_version
         ):
             return False
-        if self._pack.handles_only or isinstance(other, PlannedEncryptedKey):
-            return True
-        if isinstance(other, PackedEncryptedKey) and other._pack.handles_only:
-            return True
         return self.ciphertext == other.ciphertext
 
     def __hash__(self) -> int:
-        identity = (
-            self.wrapping_id,
-            self.wrapping_version,
-            self.payload_id,
-            self.payload_version,
+        return hash(
+            (
+                self.wrapping_id,
+                self.wrapping_version,
+                self.payload_id,
+                self.payload_version,
+                self.ciphertext,
+            )
         )
-        if self._pack.handles_only:
-            return hash(identity)
-        return hash(identity + (self.ciphertext,))
 
 
 class PackedWraps:
@@ -502,27 +289,16 @@ class PackedWraps:
 
     Quacks like the ``List[EncryptedKey]`` every payload consumer
     expects (``len``/iteration/indexing yield :class:`PackedEncryptedKey`
-    views) while storing no per-row objects.  Three states:
+    views) while storing no per-row objects.  Two states:
 
     * **deferred** — secret columns held, ``buffer`` ``None``; the first
       ciphertext read batch-encrypts every row via
       :func:`encrypt_wrap_rows` and drops the secrets.
     * **eager** — ``buffer`` holds the ``n * WRAP_SIZE`` rows (call
       :meth:`materialize` right after construction).
-    * **handles** (:meth:`handles`) — identity columns only; ciphertext
-      access raises like :class:`~repro.crypto.wrap.PlannedEncryptedKey`.
-      This is what cost-only shard fragments ship over the pipe.
 
-    Instances pickle by column (``__slots__`` state), so a fragment's
-    payload crosses a process pipe as a few lists and at most one bytes
-    blob — the zero-copy fragment format.
-
-    Arena-backed packs (``arena`` set) may store **int slot handles** in
-    the secret columns instead of ``bytes``: :meth:`materialize` resolves
-    them to zero-copy ``memoryview``\\ s just in time, and
-    :meth:`snapshot_secrets` pins them to ``bytes`` before the arena
-    mutates underneath a still-deferred pack (or before pickling —
-    memoryviews don't cross pipes).
+    Instances pickle by column (``__slots__`` state), as a few lists and
+    at most one bytes blob.
     """
 
     __slots__ = (
@@ -533,12 +309,8 @@ class PackedWraps:
         "wrapping_secrets",
         "payload_secrets",
         "buffer",
-        "handles_only",
-        "threads",
         "group_keys",
-        "arena",
         "_views",
-        "__weakref__",  # SecretArena.adopt tracks deferred packs weakly
     )
 
     def __init__(
@@ -550,10 +322,7 @@ class PackedWraps:
         wrapping_secrets: Optional[List[bytes]] = None,
         payload_secrets: Optional[List[bytes]] = None,
         buffer: Optional[bytes] = None,
-        handles_only: bool = False,
-        threads: Optional[int] = None,
         group_keys: Optional[List[Hashable]] = None,
-        arena=None,
     ) -> None:
         self.wrapping_ids = wrapping_ids
         self.wrapping_versions = wrapping_versions
@@ -562,10 +331,7 @@ class PackedWraps:
         self.wrapping_secrets = wrapping_secrets
         self.payload_secrets = payload_secrets
         self.buffer = buffer
-        self.handles_only = handles_only
-        self.threads = threads
         self.group_keys = group_keys
-        self.arena = arena
         self._views: Optional[List[PackedEncryptedKey]] = None
 
     # -- sequence protocol ----------------------------------------------
@@ -607,9 +373,6 @@ class PackedWraps:
     # -- pickling (by column; never the view cache) ----------------------
 
     def __getstate__(self):
-        # Arena slots are process-local offsets and memoryviews can't be
-        # pickled: pin everything to plain bytes before shipping.
-        self.snapshot_secrets()
         return (
             self.wrapping_ids,
             self.wrapping_versions,
@@ -618,8 +381,6 @@ class PackedWraps:
             self.wrapping_secrets,
             self.payload_secrets,
             self.buffer,
-            self.handles_only,
-            self.threads,
         )
 
     def __setstate__(self, state) -> None:
@@ -631,100 +392,38 @@ class PackedWraps:
             self.wrapping_secrets,
             self.payload_secrets,
             self.buffer,
-            self.handles_only,
-            *rest,
         ) = state
-        self.threads = rest[0] if rest else None
         self.group_keys = None
-        self.arena = None
         self._views = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = (
-            "handles"
-            if self.handles_only
-            else "eager" if self.buffer is not None else "deferred"
-        )
+        state = "eager" if self.buffer is not None else "deferred"
         return f"<PackedWraps n={len(self)} {state}>"
 
     # -- ciphertext production ------------------------------------------
 
-    def _resolved(self, column: List) -> List:
-        """Resolve int arena slots in ``column`` to zero-copy views."""
-        arena = self.arena
-        if arena is None:
-            return column
-        view = arena.view
-        return [
-            view(item) if type(item) is int else item for item in column
-        ]
-
-    def snapshot_secrets(self) -> "PackedWraps":
-        """Pin arena-backed secrets to ``bytes``; drop the arena ref.
-
-        Called before the arena mutates under a deferred pack (the
-        arena's quiesce discipline) and before pickling.  No-op for
-        eager/handles packs and plain-bytes columns.
-        """
-        if self.arena is not None:
-            bytes_at = self.arena.bytes_at
-            if self.wrapping_secrets is not None:
-                self.wrapping_secrets = [
-                    bytes_at(item)
-                    if type(item) is int
-                    else (item if type(item) is bytes else bytes(item))
-                    for item in self.wrapping_secrets
-                ]
-            if self.payload_secrets is not None:
-                self.payload_secrets = [
-                    bytes_at(item)
-                    if type(item) is int
-                    else (item if type(item) is bytes else bytes(item))
-                    for item in self.payload_secrets
-                ]
-            self.arena = None
-        return self
-
     def materialize(self) -> "PackedWraps":
         """Batch-encrypt every row (idempotent); returns ``self``."""
-        if self.buffer is None and not self.handles_only:
+        if self.buffer is None:
             self.buffer = encrypt_wrap_rows(
                 self.wrapping_ids,
                 self.wrapping_versions,
                 self.payload_ids,
                 self.payload_versions,
-                self._resolved(self.wrapping_secrets),
-                self._resolved(self.payload_secrets),
-                threads=self.threads,
+                self.wrapping_secrets,
+                self.payload_secrets,
                 group_keys=self.group_keys,
             )
             # The secrets' job is done; free them like an eager wrap would.
             self.wrapping_secrets = None
             self.payload_secrets = None
             self.group_keys = None
-            self.arena = None
         return self
 
     def ciphertext_at(self, row: int) -> bytes:
         """``ciphertext || tag`` of row ``row`` (materializes the pack)."""
-        if self.handles_only:
-            raise RuntimeError(
-                "PackedWraps has no ciphertext: the payload was produced "
-                "in cost-only (handles) mode and the key material never "
-                "left the shard worker"
-            )
         buffer = self.buffer
         if buffer is None:
             buffer = self.materialize().buffer
         base = row * WRAP_SIZE
         return buffer[base : base + WRAP_SIZE]
-
-    def handles(self) -> "PackedWraps":
-        """A cost-only twin sharing the identity columns (no material)."""
-        return PackedWraps(
-            self.wrapping_ids,
-            self.wrapping_versions,
-            self.payload_ids,
-            self.payload_versions,
-            handles_only=True,
-        )

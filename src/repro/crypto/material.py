@@ -125,9 +125,9 @@ class KeyGenerator:
         The child's stream is determined by ``(root, label)`` alone — not
         by this generator's counter — so sharded servers can hand each
         shard its own stream at construction time and every shard draws
-        the same key sequence no matter which executor backend runs it or
-        how many draws the parent has made in between.  The child starts
-        at counter 0; snapshot its :meth:`state` separately.
+        the same key sequence no matter how many draws the parent has
+        made in between.  The child starts at counter 0; snapshot its
+        :meth:`state` separately.
         """
         child = KeyGenerator()
         child._root = hashlib.sha256(

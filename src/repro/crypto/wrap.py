@@ -145,72 +145,6 @@ class LazyEncryptedKey(EncryptedKey):
         )
 
 
-class PlannedEncryptedKey(EncryptedKey):
-    """A cost-only :class:`EncryptedKey` carrying handles but no material.
-
-    Process-backend shard workers in cost-only mode return these instead
-    of :class:`LazyEncryptedKey` records: the identity fields are all the
-    parent needs for cost accounting, indexing and interest closure, and
-    shipping them avoids pickling key material across the worker pipe.
-    Reading :attr:`ciphertext` is a programming error (the key material
-    stayed in the worker), and raises ``RuntimeError``.
-    """
-
-    def __init__(
-        self,
-        wrapping_id: str,
-        wrapping_version: int,
-        payload_id: str,
-        payload_version: int,
-    ) -> None:
-        # Same __dict__-update trick as LazyEncryptedKey: this is the
-        # per-wrap cost of handle-only shard fragments.
-        self.__dict__.update(
-            wrapping_id=wrapping_id,
-            wrapping_version=wrapping_version,
-            payload_id=payload_id,
-            payload_version=payload_version,
-        )
-
-    @property
-    def ciphertext(self) -> bytes:  # type: ignore[override]
-        raise RuntimeError(
-            "PlannedEncryptedKey has no ciphertext: the payload was produced "
-            "in cost-only (handles) mode and the key material never left the "
-            "shard worker"
-        )
-
-    @classmethod
-    def from_key(cls, ek: EncryptedKey) -> "PlannedEncryptedKey":
-        """Strip ``ek`` down to its handles (no material, no ciphertext)."""
-        return cls(
-            ek.wrapping_id,
-            ek.wrapping_version,
-            ek.payload_id,
-            ek.payload_version,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EncryptedKey):
-            return NotImplemented
-        return (
-            self.wrapping_id == other.wrapping_id
-            and self.wrapping_version == other.wrapping_version
-            and self.payload_id == other.payload_id
-            and self.payload_version == other.payload_version
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.wrapping_id,
-                self.wrapping_version,
-                self.payload_id,
-                self.payload_version,
-            )
-        )
-
-
 _WRAP_MODES = ("eager", "deferred")
 _wrap_mode = "eager"
 
@@ -253,9 +187,7 @@ def wrap_key(wrapping: KeyMaterial, payload: KeyMaterial) -> EncryptedKey:
     postpones the actual encryption until its ciphertext is first read.
 
     This is the universal wrap choke point, so the ``crypto.wraps``
-    counter here is mode- and backend-independent: sharded process-pool
-    workers count their shard's wraps locally and ship the delta home,
-    making serial and ``--workers N`` totals comparable.
+    counter here is mode-independent.
     """
     perf_count("crypto.wraps")
     if _wrap_mode == "deferred":

@@ -28,12 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.crypto.bulk import (
-    PackedWraps,
-    bulk_enabled,
-    derive_secret_list,
-    resolve_threads,
-)
+from repro.crypto.bulk import PackedWraps, bulk_enabled, derive_secret_list
 from repro.crypto.material import KeyGenerator, KeyMaterial
 from repro.crypto.wrap import EncryptedKey, WrapIndex, wrap_key, wrap_mode
 from repro.keytree.node import Node
@@ -116,18 +111,10 @@ class LkhRekeyer:
         tree: KeyTree,
         keygen: Optional[KeyGenerator] = None,
         bulk: Optional[bool] = None,
-        threads: Optional[int] = None,
-        arena: Optional[bool] = None,
     ) -> None:
         self.tree = tree
         self.keygen = keygen if keygen is not None else tree.keygen
         self.bulk = bulk_enabled(bulk)
-        # Worker threads for the bulk wrap engine (execution-only knob;
-        # payload bytes never depend on it).  ``arena`` is accepted for
-        # interface parity with FlatRekeyer but has nothing to do here:
-        # the object kernel's KeyMaterial secrets are immutable bytes, so
-        # the wrap planner already reads them copy-free.
-        self.threads = resolve_threads(threads)
         self._next_epoch = 1
 
     def _take_epoch(self) -> int:
@@ -324,7 +311,7 @@ class LkhRekeyer:
         iterate in address order), so equal-depth nodes refresh — and
         consume generator draws — in a deterministic sequence: identical
         batches yield byte-identical messages, which the sharded server's
-        backend-invariance contract depends on.
+        snapshot/restore and kernel-parity contracts depend on.
         """
         marked_list = sorted(
             dict.fromkeys(marked), key=lambda n: n.depth, reverse=True
@@ -354,8 +341,8 @@ class LkhRekeyer:
             if self.bulk and marked_list:
                 # Batched wrap plan: same nested loop order as the
                 # wrap_key path below, executed by the bulk engine
-                # (grouped HMAC templates, vectorized XOR, optional
-                # worker threads) — payload rows are byte-identical.
+                # (grouped HMAC templates, vectorized XOR) — payload rows
+                # are byte-identical.
                 w_ids: List[str] = []
                 w_vers: List[int] = []
                 p_ids: List[str] = []
@@ -377,7 +364,6 @@ class LkhRekeyer:
                         p_secs.append(payload_secret)
                 pack = PackedWraps(
                     w_ids, w_vers, p_ids, p_vers, w_secs, p_secs,
-                    threads=self.threads,
                     group_keys=w_ids,
                 )
                 if wrap_mode() != "deferred":

@@ -159,29 +159,19 @@ def make_kernel_tree(
     raise ValueError(f"unknown tree kernel {kernel!r} (want one of {TREE_KERNELS})")
 
 
-def make_kernel_rekeyer(
-    tree,
-    bulk: Optional[bool] = None,
-    threads: Optional[int] = None,
-    arena: Optional[bool] = None,
-):
+def make_kernel_rekeyer(tree, bulk: Optional[bool] = None):
     """The matching rekeyer for a tree of either kernel.
 
     ``bulk`` turns on the vectorized derivation / batched-HMAC engine
     (:mod:`repro.crypto.bulk`); ``None`` defers to ``REPRO_BULK_CRYPTO``.
-    ``threads`` sets the bulk wrap engine's worker-thread count (``None``
-    defers to ``REPRO_BULK_THREADS``) and ``arena`` the flat kernel's
-    zero-copy secret-arena wrap planning (``None`` defers to
-    ``REPRO_SECRET_ARENA``) — both execution-only knobs: payload bytes
-    are identical for every setting.
     """
     if getattr(tree, "kernel", "object") == "flat":
         from repro.keytree.flat import FlatRekeyer
 
-        return FlatRekeyer(tree, bulk=bulk, threads=threads, arena=arena)
+        return FlatRekeyer(tree, bulk=bulk)
     from repro.keytree.lkh import LkhRekeyer
 
-    return LkhRekeyer(tree, bulk=bulk, threads=threads, arena=arena)
+    return LkhRekeyer(tree, bulk=bulk)
 
 
 def kernel_tree_to_dict(tree) -> Dict:
@@ -208,11 +198,11 @@ def tree_with_stream_to_dict(tree, epoch: int = 1) -> Dict:
     """Serialize a tree *together with its private key-generator stream*.
 
     Sharded servers give every shard subtree its own :class:`KeyGenerator`
-    stream (so shards rekey independently of executor backend and lane
-    count).  A shard dump therefore must carry the stream state alongside
-    the structure — attachment heaps included via :func:`tree_to_dict` —
-    plus the shard rekeyer's message epoch, or a restored shard would draw
-    different key material than the live one.  Works for either kernel;
+    stream (so shards rekey independently of one another).  A shard dump
+    therefore must carry the stream state alongside the structure —
+    attachment heaps included via :func:`tree_to_dict` — plus the shard
+    rekeyer's message epoch, or a restored shard would draw different key
+    material than the live one.  Works for either kernel;
     the dump itself is kernel-neutral.
     """
     return {

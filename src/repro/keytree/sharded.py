@@ -2,24 +2,21 @@
 
 :class:`ShardedKeyTree` splits the membership across ``shards``
 independent :class:`~repro.keytree.tree.KeyTree` subtrees, so a batch of
-J joins / L departures decomposes into per-shard mark/generate/wrap jobs
-that can run on any :mod:`repro.perf.parallel` backend, plus an O(shards)
-group-key stitch the owning server performs over the shard roots (the
-same "sub-trees under the root key" composition the paper uses for its
-two-partition and loss-homogenized schemes).
+J joins / L departures decomposes into per-shard mark/generate/wrap jobs,
+run in ascending shard order, plus an O(shards) group-key stitch the
+owning server performs over the shard roots (the same "sub-trees under
+the root key" composition the paper uses for its two-partition and
+loss-homogenized schemes).
 
 Determinism contract
 --------------------
 The number of shards is a *protocol parameter*, like the tree degree: it
 fixes which subtree each member lives in (``sha256(member_id) % shards``
 — never Python's salted ``hash``) and therefore the logical structure and
-cost of every batch.  The executor backend and worker-lane count are pure
-*execution* parameters: each shard draws keys from a private stream
-derived from the server generator and the shard id, so the payload for a
-given operation sequence is byte-identical whether shards run serially,
-on threads, or across worker processes, and whatever the lane count.
-That is why ``repro bench`` can demand equal ``mean_batch_cost`` across
-backends and worker counts — only wall-clock may differ.
+cost of every batch.  Each shard draws keys from a private stream derived
+from the server generator and the shard id, so a shard's key sequence
+depends only on the seed, the shard id and the operations that shard
+has seen.
 
 With ``shards=1`` the sharded tree degenerates to exactly the unsharded
 one-keytree structure (no stitch, identical per-batch costs), which the
@@ -29,19 +26,18 @@ shard-determinism tests pin against :class:`~repro.server.onetree.OneTreeServer`
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.bulk import resolve_threads
 from repro.crypto.material import KeyGenerator, KeyMaterial
-from repro.keytree.serialize import TREE_KERNELS
-from repro.perf.parallel import (
-    BACKENDS,
-    PAYLOAD_FULL,
-    ShardBatch,
-    ShardFragment,
-    ShardSpec,
-    make_executor,
+from repro.crypto.wrap import EncryptedKey
+from repro.keytree.serialize import (
+    TREE_KERNELS,
+    make_kernel_rekeyer,
+    make_kernel_tree,
+    tree_with_stream_from_dict,
+    tree_with_stream_to_dict,
 )
 
 
@@ -53,6 +49,19 @@ def shard_of(member_id: str, shards: int) -> int:
     """
     digest = hashlib.sha256(member_id.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % shards
+
+
+@dataclass
+class ShardFragment:
+    """One shard's slice of the batch payload."""
+
+    shard: int
+    encrypted_keys: List[EncryptedKey]
+    advanced: List[tuple]
+    root_key: KeyMaterial
+    #: Wall-clock seconds the shard job took (feeds the per-shard spans
+    #: and imbalance report).
+    wall_s: float
 
 
 @dataclass
@@ -78,18 +87,10 @@ class ShardedKeyTree:
         The server's generator; each shard's private stream is derived
         from it (:meth:`~repro.crypto.material.KeyGenerator.derive_stream`)
         so shard key sequences depend only on the seed and the shard id.
-    backend / workers:
-        Execution backend (``serial``/``thread``/``process``) and worker
-        lanes for per-shard jobs.  Execution-only: no effect on payloads.
-    payload:
-        ``"full"`` — fragments carry real (possibly lazy) encrypted keys;
-        ``"handles"`` — cost-only fragments of
-        :class:`~repro.crypto.wrap.PlannedEncryptedKey` records, the
-        cheap-IPC mode for cost-only benchmarks.
     kernel:
-        Per-shard tree kernel (``"object"`` or ``"flat"``).  Like the
-        backend, an execution parameter only: both kernels emit
-        byte-identical payloads, so ``mean_batch_cost`` must not move.
+        Per-shard tree kernel (``"object"`` or ``"flat"``).  An execution
+        parameter only: both kernels emit byte-identical payloads, so
+        ``mean_batch_cost`` must not move.
     """
 
     def __init__(
@@ -98,59 +99,33 @@ class ShardedKeyTree:
         degree: int = 4,
         keygen: Optional[KeyGenerator] = None,
         name: str = "group",
-        backend: str = "serial",
-        workers: int = 1,
-        payload: str = PAYLOAD_FULL,
         kernel: str = "object",
         bulk: Optional[bool] = None,
-        threads: Optional[int] = None,
-        arena: Optional[bool] = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shard count must be at least 1")
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         if kernel not in TREE_KERNELS:
             raise ValueError(f"kernel must be one of {TREE_KERNELS}, got {kernel!r}")
         self.shards = shards
         self.degree = degree
         self.name = name
-        self.backend = backend
-        self.workers = max(1, int(workers))
-        self.payload = payload
         self.kernel = kernel
         self.bulk = bulk
-        self.threads = threads
-        self.arena = arena
-        # ``threads`` is the whole box's wrap-engine budget.  With one
-        # worker lane the shards run one at a time and each may use the
-        # full budget; with several lanes the budget is divided so
-        # ``workers`` concurrent shard jobs × per-shard threads never
-        # oversubscribe.  ``None`` with workers > 1 still divides (the
-        # env/auto resolution would otherwise be taken once per lane).
-        if self.workers <= 1:
-            shard_threads = threads
-        else:
-            shard_threads = max(1, resolve_threads(threads) // self.workers)
-        self.shard_threads = shard_threads
         keygen = keygen if keygen is not None else KeyGenerator()
-        specs = [
-            ShardSpec(
-                shard=shard,
-                name=f"{name}/shard{shard}",
+        self._trees = [
+            make_kernel_tree(
+                kernel,
                 degree=degree,
-                stream=keygen.derive_stream(f"shard{shard}").state(),
-                kernel=kernel,
-                bulk=bulk,
-                threads=shard_threads,
-                arena=arena,
+                keygen=keygen.derive_stream(f"shard{shard}"),
+                name=f"{name}/shard{shard}",
             )
             for shard in range(shards)
         ]
-        self.executor = make_executor(backend, specs, lanes=self.workers)
+        self._rekeyers = [
+            make_kernel_rekeyer(tree, bulk=bulk) for tree in self._trees
+        ]
         self._assignment: Dict[str, int] = {}
         self._sizes: Dict[int, int] = {shard: 0 for shard in range(shards)}
-        self._roots: Optional[Dict[int, KeyMaterial]] = None
 
     # ------------------------------------------------------------------
     # membership
@@ -194,8 +169,8 @@ class ShardedKeyTree:
     ) -> ShardedBatchOutcome:
         """Decompose the batch into per-shard jobs and run them.
 
-        Fragments come back in ascending shard order regardless of which
-        lane finished first, keeping the merged payload deterministic.
+        Shards run, and their fragments come back, in ascending shard
+        order, keeping the merged payload deterministic.
         """
         per_shard_joins: Dict[int, List[Tuple[str, KeyMaterial]]] = {}
         per_shard_leaves: Dict[int, List[str]] = {}
@@ -210,72 +185,70 @@ class ShardedKeyTree:
             per_shard_leaves.setdefault(shard, []).append(member_id)
 
         touched = sorted(set(per_shard_joins) | set(per_shard_leaves))
-        batches = [
-            ShardBatch(
-                shard=shard,
-                joins=tuple(per_shard_joins.get(shard, ())),
-                departures=tuple(per_shard_leaves.get(shard, ())),
+        fragments = []
+        for shard in touched:
+            start = time.perf_counter()
+            message = self._rekeyers[shard].rekey_batch(
+                joins=per_shard_joins.get(shard, ()),
+                departures=per_shard_leaves.get(shard, ()),
                 join_refresh=join_refresh,
             )
-            for shard in touched
-        ]
-        fragments = self.executor.run_batch(batches, payload=self.payload)
-        roots = self._root_cache()
-        for fragment in fragments:
-            roots[fragment.shard] = fragment.root_key
-            self._sizes[fragment.shard] = fragment.size
+            fragments.append(
+                ShardFragment(
+                    shard=shard,
+                    encrypted_keys=message.encrypted_keys,
+                    advanced=list(message.advanced),
+                    root_key=self._trees[shard].root.key,
+                    wall_s=time.perf_counter() - start,
+                )
+            )
         return ShardedBatchOutcome(fragments=fragments, touched=touched)
 
     # ------------------------------------------------------------------
     # key queries
     # ------------------------------------------------------------------
 
-    def _root_cache(self) -> Dict[int, KeyMaterial]:
-        if self._roots is None:
-            self._roots = self.executor.root_keys()
-        return self._roots
-
     def root_key(self, shard: int) -> KeyMaterial:
         """The current root (sub-group) key of ``shard``."""
-        return self._root_cache()[shard]
+        return self._trees[shard].root.key
 
     def member_path_keys(self, member_id: str) -> List[KeyMaterial]:
         """Keys ``member_id`` holds inside its shard (leaf excluded,
         shard root included) — the resync payload minus the group DEK."""
-        shard = self.shard_holding(member_id)
-        return self.executor.member_paths({shard: [member_id]})[member_id]
+        tree = self._trees[self.shard_holding(member_id)]
+        return [node.key for node in tree.path_of(member_id)[1:]]
 
     def local_trees(self):
-        """(shard -> KeyTree) for structural checks.
-
-        Live trees for in-process backends; parent-side reconstructions
-        from worker dumps for the process backend.
-        """
-        return self.executor.local_trees()
+        """(shard -> KeyTree) for structural checks."""
+        return dict(enumerate(self._trees))
 
     # ------------------------------------------------------------------
-    # persistence / lifecycle
+    # persistence
     # ------------------------------------------------------------------
 
     def dump_shards(self) -> Dict[int, dict]:
         """Per-shard dumps (tree + attachment heaps + stream state)."""
-        return self.executor.dump_shards()
+        return {
+            shard: tree_with_stream_to_dict(
+                tree, epoch=self._rekeyers[shard]._next_epoch
+            )
+            for shard, tree in enumerate(self._trees)
+        }
 
     def load_shards(self, dumps: Dict[int, dict]) -> None:
         """Restore shard state from :meth:`dump_shards` output."""
-        self.executor.load_shards({int(k): v for k, v in dumps.items()})
-        self._roots = None
         self._sizes = {shard: 0 for shard in range(self.shards)}
         self._assignment = {}
         for shard, data in dumps.items():
             shard = int(shard)
+            tree, epoch = tree_with_stream_from_dict(data, kernel=self.kernel)
+            rekeyer = make_kernel_rekeyer(tree, bulk=self.bulk)
+            rekeyer._next_epoch = epoch
+            self._trees[shard] = tree
+            self._rekeyers[shard] = rekeyer
             for entry in _iter_member_ids(data["tree"]["root"]):
                 self._assignment[entry] = shard
                 self._sizes[shard] += 1
-
-    def close(self) -> None:
-        """Shut down the executor (kills process-backend workers)."""
-        self.executor.close()
 
 
 def _iter_member_ids(node_data: dict):

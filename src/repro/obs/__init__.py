@@ -4,7 +4,7 @@ Three independent signal planes share one activation pattern (a module
 global consulted by cheap probes, installed via context manager):
 
 * :mod:`repro.obs.metrics` — labeled Counter/Gauge/Histogram registry
-  with process-safe snapshot/merge and Prometheus/JSON exposition.
+  with picklable snapshots and Prometheus/JSON exposition.
 * :mod:`repro.obs.tracing` — hierarchical spans per rekey epoch in
   simulated + wall time, with fault windows attached as span events.
 * :mod:`repro.obs.events` — schema-versioned JSONL event records

@@ -2,12 +2,8 @@
 
 One :class:`MetricsRegistry` is the single sink for every quantitative
 signal in a run: the legacy :mod:`repro.perf.instrumentation` probes
-forward into the active registry, the simulator and transports observe
-histograms directly, and sharded process-pool workers collect into a
-scratch registry whose :meth:`~MetricsRegistry.snapshot` travels back
-over the worker pipe to be :meth:`~MetricsRegistry.merge`\\ d into the
-parent's — so a ``--workers 4`` run reports the same counted totals as a
-serial one.
+forward into the active registry, and the simulator and transports
+observe histograms directly.
 
 Design constraints, in order:
 
@@ -15,10 +11,8 @@ Design constraints, in order:
   :func:`observe`, :func:`gauge_set`) are one global-``is None`` check
   when no registry is active — the same contract the perf probes have
   always had, verified by the ``obs-overhead`` bench guard.
-* **Process-safe aggregation.**  :meth:`MetricsRegistry.snapshot` is a
-  plain picklable dict; :meth:`MetricsRegistry.merge` adds counter and
-  histogram series pointwise and last-writes gauges.  Merging is
-  associative, so lanes can ship deltas in any order.
+* **Plain snapshots.**  :meth:`MetricsRegistry.snapshot` is a plain
+  picklable dict of every metric's state.
 * **Two expositions.**  :meth:`MetricsRegistry.to_prometheus` emits the
   Prometheus text format (dotted metric names become underscored, with
   the ``repro_`` namespace and ``_total``/``_seconds`` conventions);
@@ -28,8 +22,7 @@ Design constraints, in order:
 Metric names are dotted (``server.rekeys``); label sets are fixed per
 metric at first registration.  Histograms use fixed bucket schemes —
 :data:`SIZE_BUCKETS` for counts/sizes and :data:`LATENCY_BUCKETS_S` for
-durations — so snapshots from different processes always merge bucket-
-for-bucket.
+durations — so snapshots from different runs compare bucket-for-bucket.
 """
 
 from __future__ import annotations
@@ -55,8 +48,7 @@ LATENCY_BUCKETS_S: Tuple[float, ...] = (
 #: Log-spaced bucket scheme for member rekey latency in simulated seconds.
 #: The leading 0 bucket isolates same-instant DEK adoption (delivery in
 #: retry round 0); the power-of-two ladder spans sub-second retry backoff
-#: through multi-hour abandonment windows, and the fixed bounds keep
-#: worker snapshots mergeable bucket-for-bucket.
+#: through multi-hour abandonment windows.
 LATENCY_LOG_BUCKETS_S: Tuple[float, ...] = (
     0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
     256.0, 512.0, 1_024.0, 2_048.0, 4_096.0,
@@ -113,7 +105,7 @@ class Counter:
 
 
 class Gauge:
-    """A labeled value that goes up and down (last write wins on merge)."""
+    """A labeled value that goes up and down."""
 
     kind = "gauge"
 
@@ -225,25 +217,8 @@ def bucket_quantile(
     return None  # rank landed in the overflow bucket
 
 
-def merge_bucket_series(
-    slots: Sequence[Dict[str, object]],
-) -> Dict[str, object]:
-    """Pointwise sum of histogram series slots sharing one bucket scheme."""
-    if not slots:
-        return {"buckets": [], "sum": 0.0, "count": 0}
-    width = len(slots[0]["buckets"])  # type: ignore[arg-type]
-    buckets = [0] * width
-    total, count = 0.0, 0
-    for slot in slots:
-        for i, n in enumerate(slot["buckets"]):  # type: ignore[call-overload]
-            buckets[i] += n
-        total += slot["sum"]  # type: ignore[operator]
-        count += slot["count"]  # type: ignore[operator]
-    return {"buckets": buckets, "sum": total, "count": count}
-
-
 class MetricsRegistry:
-    """A named family of metrics with merge and exposition support."""
+    """A named family of metrics with exposition support."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
@@ -325,7 +300,7 @@ class MetricsRegistry:
         return metric.total()
 
     # ------------------------------------------------------------------
-    # snapshot / merge (the process-pool delta path)
+    # snapshot
     # ------------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
@@ -352,40 +327,6 @@ class MetricsRegistry:
                     entry["series"] = dict(metric.series)
                 out[name] = entry
         return out
-
-    def merge(self, snapshot: Dict[str, object]) -> None:
-        """Fold a :meth:`snapshot` (e.g. a worker's delta) into this registry.
-
-        Counters and histogram series add pointwise; gauges last-write.
-        """
-        for name, entry in snapshot.items():
-            kind = entry["kind"]
-            labels = tuple(entry["labels"])
-            if kind == "counter":
-                metric = self.counter(name, help=entry["help"], labels=labels)
-                with self._lock:
-                    for key, value in entry["series"].items():
-                        key = tuple(key)
-                        metric.series[key] = metric.series.get(key, 0) + value
-            elif kind == "gauge":
-                metric = self.gauge(name, help=entry["help"], labels=labels)
-                with self._lock:
-                    for key, value in entry["series"].items():
-                        metric.series[tuple(key)] = value
-            elif kind == "histogram":
-                metric = self.histogram(
-                    name, help=entry["help"], labels=labels,
-                    buckets=entry["buckets"],
-                )
-                with self._lock:
-                    for key, slot in entry["series"].items():
-                        mine = metric._slot(tuple(key))
-                        for i, count in enumerate(slot["buckets"]):
-                            mine["buckets"][i] += count
-                        mine["sum"] += slot["sum"]
-                        mine["count"] += slot["count"]
-            else:  # pragma: no cover - future-proofing
-                raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
 
     # ------------------------------------------------------------------
     # exposition

@@ -168,9 +168,9 @@ class Tracer:
         #: Optional simulated-time clock (e.g. ``lambda: sim.loop.now``).
         self.clock = clock
         self.spans: List[Span] = []
-        # The current-span stack is thread-local: thread-backend shard
-        # jobs open spans from pool threads, which must not interleave
-        # with (or mis-parent under) the main thread's open spans.
+        # The current-span stack is thread-local: spans opened on another
+        # thread must not interleave with (or mis-parent under) the main
+        # thread's open spans.
         self._local = threading.local()
         self._ids = itertools.count(1)
 

@@ -34,16 +34,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.bulk import thread_oversubscription_warning
 from repro.crypto.wrap import deferred_wraps
 from repro.members.member import Member
 from repro.perf.instrumentation import PerfRecorder, recording
-from repro.perf.parallel import (
-    PAYLOAD_FULL,
-    PAYLOAD_HANDLES,
-    available_cpus,
-    parallel_map,
-)
+from repro.perf.parallel import available_cpus, parallel_map
 from repro.server.onetree import OneTreeServer
 from repro.server.sharded import ShardedOneTreeServer
 
@@ -183,11 +177,6 @@ class BenchScenario:
     server: str = "one"
     #: Sharded cells only — the *protocol* parameter (fixes cost/payload).
     shards: int = 1
-    #: Sharded cells only — pure execution parameters (no payload effect);
-    #: cells with a non-serial backend also run a serial reference and
-    #: record ``speedup_vs_serial``.
-    workers: int = 1
-    backend: str = "serial"
     #: Tree kernel (``"object"`` or ``"flat"``).  Flat cells also run the
     #: same scenario on the object kernel and record ``speedup_vs_object``
     #: plus whether ``mean_batch_cost`` matched (the kernels must differ
@@ -198,22 +187,13 @@ class BenchScenario:
     #: (or vs the object kernel's non-bulk run for object cells), again
     #: under a cost-match gate — the engine is execution-only.
     bulk: bool = False
-    #: Wrap-engine worker threads (bulk cells only; execution-only).
-    #: Cells with ``threads > 1`` or ``arena`` also run a
-    #: ``threads=1, arena=False`` reference and record ``speedup_vs_bulk``
-    #: under the same cost-match gate.
-    threads: int = 1
-    #: Secret-arena wrap planning (flat bulk cells only; execution-only).
-    arena: bool = False
 
 
 def standard_scenarios() -> List[BenchScenario]:
     """The full matrix: cost-only up to 1M members, full-crypto to 10k.
 
     The sharded family varies the shard count (1 vs 4 vs 8 — a protocol
-    parameter, so cells with different shard counts price differently) and,
-    at fixed shard count, the executor backend/worker count (pure execution
-    parameters — ``mean_batch_cost`` must be identical across them).
+    parameter, so cells with different shard counts price differently).
     """
     return [
         BenchScenario("cost-only-1k", 1_000, COST_ONLY, 5, 16, 500, True),
@@ -222,7 +202,7 @@ def standard_scenarios() -> List[BenchScenario]:
         BenchScenario("cost-only-1m", 1_000_000, COST_ONLY, 3, 64, 1_000, False),
         BenchScenario("full-crypto-1k", 1_000, FULL_CRYPTO, 5, 16, 0),
         BenchScenario("full-crypto-10k", 10_000, FULL_CRYPTO, 3, 32, 0),
-        # Sharded family — cost-only 100k across shard counts and backends.
+        # Sharded family — cost-only 100k across shard counts.
         BenchScenario(
             "sharded-s1-cost-100k", 100_000, COST_ONLY, 3, 64, 1_000,
             server="sharded", shards=1,
@@ -231,35 +211,15 @@ def standard_scenarios() -> List[BenchScenario]:
             "sharded-s4-cost-100k", 100_000, COST_ONLY, 3, 64, 1_000,
             server="sharded", shards=4,
         ),
-        BenchScenario(
-            "sharded-s4-cost-100k-thread-w4", 100_000, COST_ONLY, 3, 64, 1_000,
-            server="sharded", shards=4, workers=4, backend="thread",
-        ),
-        BenchScenario(
-            "sharded-s4-cost-100k-process-w4", 100_000, COST_ONLY, 3, 64, 1_000,
-            server="sharded", shards=4, workers=4, backend="process",
-        ),
-        BenchScenario(
-            "sharded-s8-cost-100k-process-w8", 100_000, COST_ONLY, 3, 64, 1_000,
-            server="sharded", shards=8, workers=8, backend="process",
-        ),
-        # Sharded cost-only at 1M members, serial vs process.
+        # Sharded cost-only at 1M members.
         BenchScenario(
             "sharded-s8-cost-1m", 1_000_000, COST_ONLY, 2, 64, 500,
             server="sharded", shards=8,
         ),
-        BenchScenario(
-            "sharded-s8-cost-1m-process-w8", 1_000_000, COST_ONLY, 2, 64, 500,
-            server="sharded", shards=8, workers=8, backend="process",
-        ),
-        # Sharded full-crypto at 10k (real ciphertexts cross the executor).
+        # Sharded full-crypto at 10k.
         BenchScenario(
             "sharded-s4-full-10k", 10_000, FULL_CRYPTO, 3, 32, 0,
             server="sharded", shards=4,
-        ),
-        BenchScenario(
-            "sharded-s4-full-10k-process-w4", 10_000, FULL_CRYPTO, 3, 32, 0,
-            server="sharded", shards=4, workers=4, backend="process",
         ),
         # Flat-kernel family — same workloads on the flat-array tree core;
         # each runs an object-kernel reference and records
@@ -292,18 +252,6 @@ def standard_scenarios() -> List[BenchScenario]:
             "flat-bulk-full-10k", 10_000, FULL_CRYPTO, 3, 32, 0,
             kernel="flat", bulk=True,
         ),
-        # Threaded wrap-engine family — the bulk cell plus GIL-parallel
-        # HMAC execution and the secret arena; each runs a
-        # ``threads=1, arena=False`` reference and records
-        # ``speedup_vs_bulk`` under the usual cost-match gate.
-        BenchScenario(
-            "flat-bulk-t2-cost-100k", 100_000, COST_ONLY, 3, 64, 1_000,
-            kernel="flat", bulk=True, threads=2, arena=True,
-        ),
-        BenchScenario(
-            "flat-bulk-t4-cost-100k", 100_000, COST_ONLY, 3, 64, 1_000,
-            kernel="flat", bulk=True, threads=4, arena=True,
-        ),
     ]
 
 
@@ -318,10 +266,6 @@ def quick_scenarios() -> List[BenchScenario]:
             server="sharded", shards=4,
         ),
         BenchScenario(
-            "sharded-s4-cost-1k-process-w2", 1_000, COST_ONLY, 3, 16, 500,
-            server="sharded", shards=4, workers=2, backend="process",
-        ),
-        BenchScenario(
             "flat-cost-10k", 10_000, COST_ONLY, 3, 32, 1_000, kernel="flat",
         ),
         BenchScenario(
@@ -332,37 +276,23 @@ def quick_scenarios() -> List[BenchScenario]:
             "flat-bulk-cost-10k", 10_000, COST_ONLY, 3, 32, 1_000,
             kernel="flat", bulk=True,
         ),
-        BenchScenario(
-            "flat-bulk-t2-cost-10k", 10_000, COST_ONLY, 3, 32, 1_000,
-            kernel="flat", bulk=True, threads=2, arena=True,
-        ),
     ]
 
 
 def _build_bench_server(scenario: BenchScenario):
     if scenario.server == "sharded":
-        payload = (
-            PAYLOAD_FULL if scenario.mode == FULL_CRYPTO else PAYLOAD_HANDLES
-        )
         return ShardedOneTreeServer(
             shards=scenario.shards,
-            workers=scenario.workers,
-            backend=scenario.backend,
             degree=scenario.degree,
             group=scenario.name,
-            payload=payload,
             tree_kernel=scenario.kernel,
             bulk=scenario.bulk,
-            threads=scenario.threads,
-            arena=scenario.arena,
         )
     return OneTreeServer(
         degree=scenario.degree,
         group=scenario.name,
         tree_kernel=scenario.kernel,
         bulk=scenario.bulk,
-        threads=scenario.threads,
-        arena=scenario.arena,
     )
 
 
@@ -482,8 +412,6 @@ def _run_variant(scenario: BenchScenario, optimized: bool) -> Dict[str, object]:
                     raise AssertionError(
                         f"receiver {member.member_id} missed the group key"
                     )
-        if isinstance(server, ShardedOneTreeServer):
-            server.close()
 
     phases = {
         f"{name}_s": round(timer.total, 6)
@@ -529,16 +457,11 @@ def _run_variant(scenario: BenchScenario, optimized: bool) -> Dict[str, object]:
 def run_scenario(scenario: BenchScenario) -> Dict[str, object]:
     """Run one scenario (optimized, plus baseline when configured).
 
-    Sharded cells with a non-serial backend also run the same protocol
-    configuration on the serial backend and record ``speedup_vs_serial``
-    plus whether ``mean_batch_cost`` matched — the backend must change
-    wall-clock only, never the payload.  Flat-kernel cells likewise run
-    an object-kernel reference and record ``speedup_vs_object`` with the
-    same cost-match gate (kernels are execution-only too).  Bulk cells
-    with ``threads > 1`` or the arena on additionally run a
-    ``threads=1, arena=False`` reference and record ``speedup_vs_bulk``
-    — the wrap engine's worker threads and zero-copy planning are the
-    last execution-only layer in the stack.
+    Flat-kernel cells also run an object-kernel reference and record
+    ``speedup_vs_object`` plus whether ``mean_batch_cost`` matched — the
+    kernel must change wall-clock only, never the payload.  Bulk cells
+    likewise run a non-bulk reference and record ``speedup_vs_flat``
+    under the same cost-match gate.
     """
     optimized = _run_variant(scenario, optimized=True)
     gc.collect()
@@ -549,21 +472,6 @@ def run_scenario(scenario: BenchScenario) -> Dict[str, object]:
     speedup = None
     if baseline is not None and optimized["total_s"]:
         speedup = round(baseline["total_s"] / optimized["total_s"], 2)
-
-    serial_ref = None
-    speedup_vs_serial = None
-    cost_matches_serial = None
-    if scenario.server == "sharded" and scenario.backend != "serial":
-        reference = replace(scenario, backend="serial", workers=1)
-        serial_ref = _run_variant(reference, optimized=True)
-        gc.collect()
-        if optimized["total_s"]:
-            speedup_vs_serial = round(
-                serial_ref["total_s"] / optimized["total_s"], 2
-            )
-        cost_matches_serial = (
-            serial_ref["mean_batch_cost"] == optimized["mean_batch_cost"]
-        )
 
     object_ref = None
     speedup_vs_object = None
@@ -600,23 +508,6 @@ def run_scenario(scenario: BenchScenario) -> Dict[str, object]:
             flat_ref["mean_batch_cost"] == optimized["mean_batch_cost"]
         )
 
-    bulk_ref = None
-    speedup_vs_bulk = None
-    cost_matches_bulk = None
-    if scenario.bulk and (scenario.threads != 1 or scenario.arena):
-        # Single-threaded, copy-planning bulk reference: what the worker
-        # threads and the arena together buy on top of the bulk engine.
-        reference = replace(scenario, threads=1, arena=False)
-        bulk_ref = _run_variant(reference, optimized=True)
-        gc.collect()
-        if optimized["total_s"]:
-            speedup_vs_bulk = round(
-                bulk_ref["total_s"] / optimized["total_s"], 2
-            )
-        cost_matches_bulk = (
-            bulk_ref["mean_batch_cost"] == optimized["mean_batch_cost"]
-        )
-
     return {
         "name": scenario.name,
         "members": scenario.members,
@@ -626,27 +517,17 @@ def run_scenario(scenario: BenchScenario) -> Dict[str, object]:
         "sample_receivers": scenario.sample_receivers,
         "server": scenario.server,
         "shards": scenario.shards,
-        "workers": scenario.workers,
-        "backend": scenario.backend,
         "kernel": scenario.kernel,
         "bulk": scenario.bulk,
-        "threads": scenario.threads,
-        "arena": scenario.arena,
         "optimized": optimized,
         "baseline": baseline,
         "speedup": speedup,
-        "serial_ref": serial_ref,
-        "speedup_vs_serial": speedup_vs_serial,
-        "mean_batch_cost_matches_serial": cost_matches_serial,
         "object_ref": object_ref,
         "speedup_vs_object": speedup_vs_object,
         "mean_batch_cost_matches_object": cost_matches_object,
         "flat_ref": flat_ref,
         "speedup_vs_flat": speedup_vs_flat,
         "mean_batch_cost_matches_flat": cost_matches_flat,
-        "bulk_ref": bulk_ref,
-        "speedup_vs_bulk": speedup_vs_bulk,
-        "mean_batch_cost_matches_bulk": cost_matches_bulk,
         "peak_rss_kb": _peak_rss_kb(),
     }
 
@@ -688,8 +569,6 @@ def profile_scenario(
     out_dir: str = "benchmarks/out",
     top: int = 25,
     reps: int = 3,
-    threads: Optional[int] = None,
-    arena: Optional[bool] = None,
 ) -> str:
     """Run one named scenario under ``cProfile``; write a cumtime table.
 
@@ -700,13 +579,9 @@ def profile_scenario(
     rep used to be profiled, which made the table a build-phase story:
     one-time tree construction dominated and steady-state rekeying noise
     (allocation churn, wrap planning) hid below the fold.  Aggregating
-    all reps keeps call counts honest — e.g. the arena's reduced
-    per-batch ``bytes`` allocations only show up across repetitions.
-    ``threads``/``arena`` override the named cell's wrap-engine config
-    (``repro bench --profile X --arena`` vs plain ``--profile X`` is how
-    to see the arena's allocation savings side by side).  This is the
-    tool that found the per-object crypto overhead the bulk engine now
-    removes — keep it honest by profiling cells, not microbenchmarks.
+    all reps keeps call counts honest.  This is the tool that found the
+    per-object crypto overhead the bulk engine now removes — keep it
+    honest by profiling cells, not microbenchmarks.
     """
     import cProfile
     import io
@@ -719,10 +594,6 @@ def profile_scenario(
             f"unknown scenario {name!r}; choose from {sorted(by_name)}"
         )
     scenario = by_name[name]
-    if threads is not None:
-        scenario = replace(scenario, threads=threads)
-    if arena is not None:
-        scenario = replace(scenario, arena=arena)
     reps = max(1, int(reps))
     profiler = cProfile.Profile()
     for _ in range(reps):
@@ -733,10 +604,7 @@ def profile_scenario(
             profiler.disable()
         gc.collect()
     stream = io.StringIO()
-    stream.write(
-        f"scenario {name}: {reps} rep(s) aggregated"
-        f" (threads={scenario.threads}, arena={scenario.arena})\n"
-    )
+    stream.write(f"scenario {name}: {reps} rep(s) aggregated\n")
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(top)
     out_path = Path(out_dir) / f"profile_{name}.txt"
@@ -788,11 +656,6 @@ def run_bench(
                     f", baseline {result['baseline']['total_s']:.2f}s"
                     f" -> {result['speedup']:.1f}x speedup"
                 )
-            if result["speedup_vs_serial"] is not None:
-                line += (
-                    f", serial {result['serial_ref']['total_s']:.2f}s"
-                    f" -> {result['speedup_vs_serial']:.1f}x vs serial"
-                )
             if result["speedup_vs_object"] is not None:
                 line += (
                     f", object {result['object_ref']['total_s']:.2f}s"
@@ -802,11 +665,6 @@ def run_bench(
                 line += (
                     f", non-bulk {result['flat_ref']['total_s']:.2f}s"
                     f" -> {result['speedup_vs_flat']:.1f}x vs non-bulk"
-                )
-            if result["speedup_vs_bulk"] is not None:
-                line += (
-                    f", 1-thread {result['bulk_ref']['total_s']:.2f}s"
-                    f" -> {result['speedup_vs_bulk']:.1f}x vs 1-thread"
                 )
             progress(line)
     obs_overhead = measure_obs_overhead(
@@ -821,20 +679,10 @@ def run_bench(
     warnings: List[str] = []
     if available_cpus() < 2:
         warnings.append(
-            "recorded on a host with <2 usable CPUs: parallel and bulk "
-            "speedups reflect pool/engine overhead under core starvation, "
-            "not capacity — re-record on a multi-core box before treating "
-            "this file as a baseline"
+            "recorded on a host with <2 usable CPUs: speedups reflect "
+            "core starvation, not capacity — re-record on a multi-core "
+            "box before treating this file as a baseline"
         )
-    # Oversubscribed wrap-engine budgets (env or scenario) used to pass
-    # silently; surface them the same way as the <2-CPU recording note.
-    oversubscribed = thread_oversubscription_warning()
-    if oversubscribed is None:
-        max_threads = max((s.threads for s in scenarios), default=1)
-        if max_threads > 1:
-            oversubscribed = thread_oversubscription_warning(max_threads)
-    if oversubscribed is not None:
-        warnings.append(oversubscribed)
     if progress is not None:
         for warning in warnings:
             progress(f"WARNING: {warning}")
@@ -873,12 +721,8 @@ WORKLOAD_KEYS = (
     "sample_receivers",
     "server",
     "shards",
-    "workers",
-    "backend",
     "kernel",
     "bulk",
-    "threads",
-    "arena",
 )
 
 #: Execution-only speedup gates: a True→False transition between a
@@ -886,10 +730,8 @@ WORKLOAD_KEYS = (
 #: changing the payload, which is a correctness regression regardless of
 #: how fast either host is.
 COST_MATCH_GATES = (
-    "mean_batch_cost_matches_serial",
     "mean_batch_cost_matches_object",
     "mean_batch_cost_matches_flat",
-    "mean_batch_cost_matches_bulk",
 )
 
 

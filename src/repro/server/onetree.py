@@ -33,8 +33,6 @@ class OneTreeServer(GroupKeyServer):
         join_refresh: str = "random",
         tree_kernel: str = "object",
         bulk: Optional[bool] = None,
-        threads: Optional[int] = None,
-        arena: Optional[bool] = None,
     ) -> None:
         if join_refresh not in ("random", "owf"):
             raise ValueError("join_refresh must be 'random' or 'owf'")
@@ -44,14 +42,10 @@ class OneTreeServer(GroupKeyServer):
         self.join_refresh = join_refresh
         self.tree_kernel = tree_kernel
         self.bulk = bulk
-        self.threads = threads
-        self.arena = arena
         self.tree = make_kernel_tree(
             tree_kernel, degree=degree, keygen=self.keygen, name=f"{group}/tree"
         )
-        self.rekeyer = make_kernel_rekeyer(
-            self.tree, bulk=bulk, threads=threads, arena=arena
-        )
+        self.rekeyer = make_kernel_rekeyer(self.tree, bulk=bulk)
 
     def _process_batch(
         self,

@@ -3,10 +3,9 @@
 :class:`ShardedOneTreeServer` runs the one-keytree scheme over a
 :class:`~repro.keytree.sharded.ShardedKeyTree`: membership is hash-split
 across ``shards`` independent LKH subtrees, a batch decomposes into
-disjoint per-shard jobs executed by a pluggable backend
-(:mod:`repro.perf.parallel`), and one O(shards) stitch wraps a fresh
-group DEK under the shard roots — the same root-key composition the
-paper's Section 3/4 servers use over their partitions.
+disjoint per-shard jobs run in ascending shard order, and one O(shards)
+stitch wraps a fresh group DEK under the shard roots — the same root-key
+composition the paper's Section 3/4 servers use over their partitions.
 
 Cost semantics mirror :class:`~repro.server.losshomog.LossHomogenizedServer`
 (fresh DEK every active batch; with departures the DEK is wrapped under
@@ -16,15 +15,16 @@ and serves the shard root *as* the group key — making the single-shard
 server cost- and structure-identical to
 :class:`~repro.server.onetree.OneTreeServer`.
 
-Seeding scheme (the backend-invariance contract):
+Seeding scheme:
 
-* member individual keys — the server's own generator (parent side);
+* member individual keys — the server's own generator;
 * shard node keys — one private stream per shard, derived from the
   server generator and the shard id;
-* the group DEK — a dedicated parent-side stitch stream.
+* the group DEK — a dedicated stitch stream.
 
-No stream is ever shared between two execution lanes, so serial, thread
-and process backends emit byte-identical payloads for the same batches.
+No stream is shared between two shards, so a shard's key material
+depends only on the seed, the shard id and that shard's own batches —
+never on how many draws the other shards or the stitch have made.
 """
 
 from __future__ import annotations
@@ -32,16 +32,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.crypto.material import KeyGenerator, KeyMaterial
-from repro.crypto.wrap import (
-    EncryptedKey,
-    PlannedEncryptedKey,
-    WrapIndex,
-    wrap_key,
-)
+from repro.crypto.wrap import EncryptedKey, WrapIndex, wrap_key
 from repro.keytree.sharded import ShardedKeyTree, shard_of
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-from repro.perf.parallel import PAYLOAD_FULL, PAYLOAD_HANDLES
 from repro.server.base import BatchResult, GroupKeyServer, Registration
 
 
@@ -54,12 +48,6 @@ class ShardedOneTreeServer(GroupKeyServer):
         Number of independent subtrees — a protocol parameter that fixes
         placement and batch cost (``1`` reproduces the unsharded scheme
         exactly).
-    workers / backend:
-        Execution lanes and backend for the per-shard jobs — pure
-        execution parameters with no effect on the payload bytes.
-    payload:
-        ``"full"`` (default) or ``"handles"`` (cost-only fragments; see
-        :class:`~repro.keytree.sharded.ShardedKeyTree`).
     tree_kernel:
         Per-shard tree kernel, ``"object"`` or ``"flat"`` — execution
         only, payload bytes are identical either way.
@@ -70,43 +58,28 @@ class ShardedOneTreeServer(GroupKeyServer):
     def __init__(
         self,
         shards: int = 16,
-        workers: int = 1,
-        backend: str = "serial",
         degree: int = 4,
         keygen: Optional[KeyGenerator] = None,
         group: str = "group",
         join_refresh: str = "random",
-        payload: str = PAYLOAD_FULL,
         tree_kernel: str = "object",
         bulk: Optional[bool] = None,
-        threads: Optional[int] = None,
-        arena: Optional[bool] = None,
     ) -> None:
         if join_refresh not in ("random", "owf"):
             raise ValueError("join_refresh must be 'random' or 'owf'")
         super().__init__(keygen=keygen, group=group)
         self.join_refresh = join_refresh
-        self.payload = payload
         self.tree_kernel = tree_kernel
         self.bulk = bulk
-        # ``threads`` is the whole-server wrap-engine budget; the sharded
-        # tree divides it across worker lanes (see ShardedKeyTree).
-        self.threads = threads
-        self.arena = arena
         self.sharded = ShardedKeyTree(
             shards=shards,
             degree=degree,
             keygen=self.keygen,
             name=f"{group}/tree",
-            backend=backend,
-            workers=workers,
-            payload=payload,
             kernel=tree_kernel,
             bulk=bulk,
-            threads=threads,
-            arena=arena,
         )
-        # The stitch stream is parent-side and dedicated, so DEK material
+        # The stitch stream is dedicated, so DEK material
         # never depends on how many draws the shard streams have made.
         self._dek_stream = self.keygen.derive_stream("dek")
         self._dek: Optional[KeyMaterial] = None
@@ -121,19 +94,9 @@ class ShardedOneTreeServer(GroupKeyServer):
         """Shard assignment of a member, as a metrics label value.
 
         The latency tracker uses this so ``rekey.latency`` series carry
-        the member's hash-placement shard — stable across backends and
-        worker counts, which is what makes the ``--workers N`` merged
-        histograms byte-identical to a serial run's.
+        the member's hash-placement shard.
         """
         return str(shard_of(member_id, self.sharded.shards))
-
-    @property
-    def backend(self) -> str:
-        return self.sharded.backend
-
-    @property
-    def workers(self) -> int:
-        return self.sharded.workers
 
     # ------------------------------------------------------------------
     # batch processing
@@ -204,8 +167,6 @@ class ShardedOneTreeServer(GroupKeyServer):
             wraps.append(wrap_key(previous, self._dek))
             for shard in touched:
                 wraps.append(wrap_key(self.sharded.root_key(shard), self._dek))
-        if self.payload == PAYLOAD_HANDLES:
-            wraps = [PlannedEncryptedKey.from_key(ek) for ek in wraps]
         return wraps
 
     # ------------------------------------------------------------------
@@ -228,7 +189,3 @@ class ShardedOneTreeServer(GroupKeyServer):
     def shard_sizes(self) -> Dict[int, int]:
         """Members per shard (zeros included)."""
         return self.sharded.shard_sizes()
-
-    def close(self) -> None:
-        """Release executor resources (process-backend workers)."""
-        self.sharded.close()

@@ -147,11 +147,8 @@ def snapshot_server(server: GroupKeyServer) -> Dict:
     elif isinstance(server, ShardedOneTreeServer):
         state["kind"] = "sharded-keytree"
         state["shards"] = server.shards
-        state["workers"] = server.workers
-        state["backend"] = server.backend
         state["degree"] = server.sharded.degree
         state["join_refresh"] = server.join_refresh
-        state["payload"] = server.payload
         state["tree_kernel"] = server.tree_kernel
         state["dek_stream"] = server._dek_stream.state()
         if server._dek is not None:
@@ -194,12 +191,7 @@ def restore_server(state: Dict) -> GroupKeyServer:
         server.tree = kernel_tree_from_dict(
             state["tree"], kernel=kernel, keygen=keygen
         )
-        server.rekeyer = make_kernel_rekeyer(
-            server.tree,
-            bulk=server.bulk,
-            threads=getattr(server, "threads", None),
-            arena=getattr(server, "arena", None),
-        )
+        server.rekeyer = make_kernel_rekeyer(server.tree, bulk=server.bulk)
         server.rekeyer._next_epoch = int(state["tree_epoch"])
     elif kind == "two-partition":
         server = TwoPartitionServer(
@@ -245,14 +237,14 @@ def restore_server(state: Dict) -> GroupKeyServer:
                 state["tree_epochs"][rate_text]
             )
     elif kind == "sharded-keytree":
+        # Older snapshots also carry "workers", "backend" and "payload":
+        # execution settings of shard backends that no longer exist,
+        # ignored here.
         server = ShardedOneTreeServer(
             shards=int(state["shards"]),
-            workers=int(state["workers"]),
-            backend=state["backend"],
             degree=int(state["degree"]),
             group=group,
             join_refresh=state["join_refresh"],
-            payload=state["payload"],
             tree_kernel=state.get("tree_kernel", "object"),
         )
         server.keygen = keygen

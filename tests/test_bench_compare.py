@@ -15,27 +15,17 @@ def cell(name="cost-only-1k", cost=100.0, total_s=1.0, **overrides):
         "sample_receivers": 500,
         "server": "one",
         "shards": 1,
-        "workers": 1,
-        "backend": "serial",
         "kernel": "object",
         "bulk": False,
-        "threads": 1,
-        "arena": False,
         "optimized": {"total_s": total_s, "mean_batch_cost": cost},
         "baseline": None,
         "speedup": None,
-        "serial_ref": None,
-        "speedup_vs_serial": None,
-        "mean_batch_cost_matches_serial": None,
         "object_ref": None,
         "speedup_vs_object": None,
         "mean_batch_cost_matches_object": None,
         "flat_ref": None,
         "speedup_vs_flat": None,
         "mean_batch_cost_matches_flat": None,
-        "bulk_ref": None,
-        "speedup_vs_bulk": None,
-        "mean_batch_cost_matches_bulk": None,
         "peak_rss_kb": None,
     }
     base.update(overrides)
@@ -69,8 +59,8 @@ class TestCompareReports:
         assert "mean_batch_cost" in diff["failures"][0]
 
     def test_gate_flip_true_to_false_fails(self):
-        current = report([cell(mean_batch_cost_matches_serial=False)])
-        baseline = report([cell(mean_batch_cost_matches_serial=True)])
+        current = report([cell(mean_batch_cost_matches_object=False)])
+        baseline = report([cell(mean_batch_cost_matches_object=True)])
         diff = compare_reports(current, baseline)
         assert any("flipped" in line for line in diff["failures"])
         # The reverse direction (None/False -> True) is not a regression.
@@ -109,6 +99,18 @@ class TestCompareReports:
         assert diff["failures"] == []
         assert diff["compared"] == []
         assert any("rounds" in line for line in diff["skipped"])
+
+    def test_baseline_with_removed_execution_keys_is_compared(self):
+        # Baselines recorded before the shard backends, wrap threads and
+        # the secret arena were removed still carry those four keys; the
+        # cell must be diffed, not skipped as a different workload.
+        legacy = {"workers": 1, "backend": "serial", "threads": 1, "arena": False}
+        baseline = report([cell(cost=100.0, **legacy)])
+        current = report([cell(cost=120.0)])
+        diff = compare_reports(current, baseline)
+        assert diff["compared"] == ["cost-only-1k"]
+        assert diff["skipped"] == []
+        assert any("mean_batch_cost" in line for line in diff["failures"])
 
     def test_unmatched_cells_listed_both_ways(self):
         current = report([cell(name="only-current")])

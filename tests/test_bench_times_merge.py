@@ -71,8 +71,6 @@ def test_cli_record_bench_session_merges(tmp_path, monkeypatch):
                 "name": "cost-only-1k",
                 "optimized": {"total_s": 0.5},
                 "shards": 1,
-                "workers": 1,
-                "backend": "serial",
             }
         ],
     }

@@ -142,6 +142,15 @@ class TestBench:
         assert code == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    def test_quick_matrix_passes_its_gates(self, tmp_path, monkeypatch, capsys):
+        # Every gate of the quick matrix must hold on any host, multi-core
+        # ones included (the run also writes benchmarks/out/ under cwd).
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "BENCH_quick.json"
+        code = main(["bench", "--quick", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert out.exists()
+
 
 class TestSimulateVariants:
     def test_pt_scheme_runs(self, capsys):

@@ -152,8 +152,6 @@ def test_cross_kernel_restore_emits_identical_payloads(name, other_kernel):
         assert twin_result.epoch == live_result.epoch
         assert _wire(twin_result) == _wire(live_result)
     assert twin.group_key().secret == live.server.group_key().secret
-    if hasattr(twin, "close"):
-        twin.close()
 
 
 def test_snapshot_round_trip_preserves_resync():

@@ -4,7 +4,7 @@ The engine's whole contract is byte-identity with the per-key primitives:
 bulk derivation must equal N independent :class:`KeyGenerator` draws, and
 the batched-HMAC wrap planner must equal N independent :func:`wrap_key`
 ciphertexts — for any batch shape, any grouping of wrapping keys, and
-through every :class:`PackedWraps` access path (views, pickling, handles,
+through every :class:`PackedWraps` access path (views, pickling,
 WrapIndex consumption).
 """
 
@@ -27,7 +27,6 @@ from repro.crypto.bulk import (
 from repro.crypto.material import KEY_SIZE, KeyGenerator, KeyMaterial
 from repro.crypto.wrap import (
     EncryptedKey,
-    PlannedEncryptedKey,
     WrapIndex,
     unwrap_key,
     wrap_key,
@@ -151,6 +150,20 @@ def test_batched_wraps_property(n, distinct, seed):
         )
 
 
+def test_explicit_group_keys_match_secret_grouping():
+    # The planner may group by caller-supplied keys (the rekeyers group
+    # by wrapping key id) — same bytes either way.
+    pairs = _make_pairs(120, 7)
+    columns = _columns(pairs)
+    by_key = encrypt_wrap_rows(
+        *columns, group_keys=[w.key_id for w, _ in pairs]
+    )
+    singletons = encrypt_wrap_rows(
+        *columns, group_keys=list(range(len(pairs)))
+    )
+    assert encrypt_wrap_rows(*columns) == by_key == singletons
+
+
 def test_empty_plan_yields_empty_buffer():
     assert encrypt_wrap_rows([], [], [], [], [], []) == b""
 
@@ -206,22 +219,6 @@ def test_views_pickle_standalone_never_the_pack():
     restored = pickle.loads(pickle.dumps(pack))
     assert isinstance(restored, PackedWraps)
     assert restored == [wrap_key(w, p) for w, p in pairs]
-
-
-def test_handles_mode_mirrors_planned_encrypted_key():
-    pairs = _make_pairs(4, 2)
-    handles = _pack(pairs).handles()
-    assert handles.handles_only
-    planned = PlannedEncryptedKey.from_key(wrap_key(*pairs[0]))
-    assert handles[0] == planned
-    assert hash(handles[0]) == hash(planned)
-    with pytest.raises(RuntimeError, match="cost-only"):
-        handles[0].ciphertext
-    assert type(pickle.loads(pickle.dumps(handles[1]))) is PlannedEncryptedKey
-    # Handles compare equal to full views on identity alone, both ways.
-    full = _pack(pairs)
-    assert handles[1] == full[1]
-    assert full[1] == handles[1]
 
 
 def test_wrap_index_consumes_packs():

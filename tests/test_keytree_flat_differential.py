@@ -10,7 +10,7 @@ same wrap order, same versions, same ciphertext bytes — plus equal
 Traces come from two sources: hypothesis-generated operation programs
 (shrinkable counterexamples) and pinned-seed random mixes (stable
 regression anchors).  Both run under eager and deferred wrapping, and
-the sharded variant is checked across all three executor backends.
+the sharded server is checked with and without the bulk engine.
 """
 
 import random
@@ -70,8 +70,6 @@ class KernelPair:
         join_refresh="random",
         bulk_obj=False,
         bulk_flat=False,
-        threads=None,
-        arena=None,
     ):
         self.join_refresh = join_refresh
         self.obj_tree = KeyTree(
@@ -81,9 +79,7 @@ class KernelPair:
         self.flat_tree = FlatKeyTree(
             degree=degree, keygen=KeyGenerator(seed), name="g/tree"
         )
-        self.flat = FlatRekeyer(
-            self.flat_tree, bulk=bulk_flat, threads=threads, arena=arena
-        )
+        self.flat = FlatRekeyer(self.flat_tree, bulk=bulk_flat)
 
     def batch(self, joins=(), departures=(), force_root=False, context=""):
         obj_msg = self.obj.rekey_batch(
@@ -166,30 +162,6 @@ def test_hypothesis_churn_traces_are_byte_identical(
     with deferred_wraps(enabled=deferred):
         pair = KernelPair(
             degree=degree, seed=11, bulk_obj=bulk[0], bulk_flat=bulk[1]
-        )
-        run_program(pair, program)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    program=programs,
-    degree=st.integers(min_value=2, max_value=5),
-    deferred=st.booleans(),
-    # Wrap-engine execution knobs: worker threads and the secret arena
-    # must never move a byte relative to the object kernel's serial path.
-    threads=st.sampled_from([1, 2, 4]),
-    arena=st.booleans(),
-)
-def test_threaded_arena_traces_are_byte_identical(
-    program, degree, deferred, threads, arena
-):
-    with deferred_wraps(enabled=deferred):
-        pair = KernelPair(
-            degree=degree,
-            seed=17,
-            bulk_flat=True,
-            threads=threads,
-            arena=arena,
         )
         run_program(pair, program)
 
@@ -356,7 +328,7 @@ def test_per_receiver_decrypt_counts_match():
 
 
 # ----------------------------------------------------------------------
-# sharded server: kernels x executor backends
+# sharded server: kernels x bulk engine
 # ----------------------------------------------------------------------
 
 
@@ -391,56 +363,10 @@ def wire_result(result):
 
 
 @pytest.mark.parametrize("bulk", [False, True])
-@pytest.mark.parametrize(
-    "backend,workers", [("serial", 1), ("thread", 2), ("process", 2)]
-)
-def test_sharded_flat_kernel_matches_object_across_backends(
-    backend, workers, bulk
-):
+def test_sharded_flat_kernel_matches_object(bulk):
     with deferred_wraps():
         obj_server = ShardedOneTreeServer(shards=4, degree=3, group="kx")
         flat_server = ShardedOneTreeServer(
-            shards=4,
-            degree=3,
-            group="kx",
-            backend=backend,
-            workers=workers,
-            tree_kernel="flat",
-            bulk=bulk,
+            shards=4, degree=3, group="kx", tree_kernel="flat", bulk=bulk
         )
-        try:
-            assert _server_wires(obj_server) == _server_wires(flat_server)
-        finally:
-            obj_server.close()
-            flat_server.close()
-
-
-@pytest.mark.parametrize("arena", [False, True])
-@pytest.mark.parametrize(
-    "backend,workers", [("serial", 1), ("thread", 2), ("process", 2)]
-)
-def test_sharded_process_thread_composition_parity(backend, workers, arena):
-    """Worker processes x wrap threads x arena composes byte-identically.
-
-    The whole-server thread budget is divided across executor lanes
-    (``ShardedKeyTree``); whatever per-shard budget that leaves, the
-    payload must match the unsharded-object reference exactly.
-    """
-    with deferred_wraps():
-        obj_server = ShardedOneTreeServer(shards=4, degree=3, group="kx")
-        flat_server = ShardedOneTreeServer(
-            shards=4,
-            degree=3,
-            group="kx",
-            backend=backend,
-            workers=workers,
-            tree_kernel="flat",
-            bulk=True,
-            threads=4,
-            arena=arena,
-        )
-        try:
-            assert _server_wires(obj_server) == _server_wires(flat_server)
-        finally:
-            obj_server.close()
-            flat_server.close()
+        assert _server_wires(obj_server) == _server_wires(flat_server)

@@ -1,4 +1,4 @@
-"""ShardedKeyTree structure: placement, sizes, dumps, executor parity."""
+"""ShardedKeyTree structure: placement, sizes, dumps, determinism."""
 
 import pytest
 
@@ -6,19 +6,32 @@ from repro.crypto.material import KeyGenerator
 from repro.keytree.sharded import ShardedKeyTree, shard_of
 
 
-def make_tree(shards=4, backend="serial", workers=1, seed=7):
-    return ShardedKeyTree(
-        shards=shards,
-        degree=4,
-        keygen=KeyGenerator(seed=seed),
-        backend=backend,
-        workers=workers,
-    )
+def make_tree(shards=4, seed=7):
+    return ShardedKeyTree(shards=shards, degree=4, keygen=KeyGenerator(seed=seed))
 
 
 def join_batch(tree, member_ids, keygen):
     joins = [(m, keygen.generate(f"member:{m}")) for m in member_ids]
     return tree.apply_batch(joins=joins)
+
+
+def flatten(outcome):
+    return [
+        (
+            fragment.shard,
+            tuple(
+                (
+                    ek.wrapping_id,
+                    ek.wrapping_version,
+                    ek.payload_id,
+                    ek.payload_version,
+                    ek.ciphertext,
+                )
+                for ek in fragment.encrypted_keys
+            ),
+        )
+        for fragment in outcome.fragments
+    ]
 
 
 class TestPlacement:
@@ -53,7 +66,6 @@ class TestPlacement:
             assert tree.shard_holding(member) == shard_of(member, tree.shards)
         assert tree.size == 32
         assert sum(tree.shard_sizes().values()) == 32
-        tree.close()
 
     def test_departure_updates_sizes_and_membership(self):
         tree = make_tree()
@@ -67,20 +79,18 @@ class TestPlacement:
         assert tree.shard_sizes()[shard] == before[shard] - 1
         with pytest.raises(KeyError):
             tree.shard_holding(victim)
-        tree.close()
 
     def test_populated_shards_excludes_empty(self):
         tree = make_tree(shards=8)
         keygen = KeyGenerator(seed=1)
         join_batch(tree, ["only-one"], keygen)
         assert tree.populated_shards() == [shard_of("only-one", 8)]
-        tree.close()
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             ShardedKeyTree(shards=0)
         with pytest.raises(ValueError):
-            ShardedKeyTree(shards=2, backend="gpu")
+            ShardedKeyTree(shards=2, kernel="gpu")
 
 
 class TestBatchOutcome:
@@ -92,15 +102,13 @@ class TestBatchOutcome:
         outcome = tree.apply_batch(departures=[victim])
         assert outcome.touched == [shard_of(victim, 8)]
         assert [f.shard for f in outcome.fragments] == outcome.touched
-        tree.close()
 
     def test_fragments_come_back_in_shard_order(self):
-        tree = make_tree(shards=8, backend="thread", workers=4)
+        tree = make_tree(shards=8)
         keygen = KeyGenerator(seed=3)
         outcome = join_batch(tree, [f"m{i}" for i in range(40)], keygen)
         order = [f.shard for f in outcome.fragments]
         assert order == sorted(order)
-        tree.close()
 
     def test_fragment_roots_match_root_key_query(self):
         tree = make_tree(shards=4)
@@ -108,54 +116,6 @@ class TestBatchOutcome:
         outcome = join_batch(tree, [f"m{i}" for i in range(20)], keygen)
         for fragment in outcome.fragments:
             assert tree.root_key(fragment.shard) == fragment.root_key
-        tree.close()
-
-
-class TestExecutorParity:
-    """The same batch sequence emits identical fragments on every backend."""
-
-    def run_sequence(self, backend, workers):
-        tree = make_tree(shards=4, backend=backend, workers=workers, seed=11)
-        keygen = KeyGenerator(seed=12)
-        transcript = []
-        try:
-            outcome = join_batch(tree, [f"m{i}" for i in range(30)], keygen)
-            transcript.append(self.flatten(outcome))
-            outcome = tree.apply_batch(
-                joins=[("zz", keygen.generate("member:zz"))],
-                departures=["m4", "m9"],
-            )
-            transcript.append(self.flatten(outcome))
-            roots = {s: tree.root_key(s) for s in tree.populated_shards()}
-        finally:
-            tree.close()
-        return transcript, roots
-
-    @staticmethod
-    def flatten(outcome):
-        return [
-            (
-                fragment.shard,
-                tuple(
-                    (
-                        ek.wrapping_id,
-                        ek.wrapping_version,
-                        ek.payload_id,
-                        ek.payload_version,
-                        ek.ciphertext,
-                    )
-                    for ek in fragment.encrypted_keys
-                ),
-            )
-            for fragment in outcome.fragments
-        ]
-
-    @pytest.mark.parametrize(
-        "backend,workers", [("thread", 2), ("process", 2)]
-    )
-    def test_backend_emits_identical_fragments(self, backend, workers):
-        reference = self.run_sequence("serial", 1)
-        assert self.run_sequence(backend, workers) == reference
 
 
 class TestDumpLoad:
@@ -182,11 +142,7 @@ class TestDumpLoad:
             joins=[("late", followup_keygen.generate("member:late"))],
             departures=["m1"],
         )
-        assert TestExecutorParity.flatten(twin_out) == (
-            TestExecutorParity.flatten(live_out)
-        )
-        live.close()
-        twin.close()
+        assert flatten(twin_out) == flatten(live_out)
 
     def test_member_path_keys_end_at_shard_root(self):
         tree = make_tree(shards=4)
@@ -196,4 +152,3 @@ class TestDumpLoad:
             path = tree.member_path_keys(member)
             assert path
             assert path[-1] == tree.root_key(tree.shard_holding(member))
-        tree.close()

@@ -1,7 +1,5 @@
 """Member-level time-to-new-DEK accounting (repro.obs.latency)."""
 
-import json
-
 import pytest
 
 import repro.obs as obs
@@ -13,7 +11,6 @@ from repro.obs.metrics import (
     LATENCY_LOG_BUCKETS_S,
     MetricsRegistry,
     bucket_quantile,
-    merge_bucket_series,
 )
 from repro.sim.simulation import GroupRekeyingSimulation, SimulationConfig
 from repro.transport.wka_bkr import WkaBkrProtocol
@@ -50,15 +47,6 @@ class TestBucketQuantile:
 
     def test_overflow_rank_is_none(self):
         assert bucket_quantile([1.0], [1, 9], 0.99) is None
-
-    def test_merge_bucket_series(self):
-        merged = merge_bucket_series(
-            [
-                {"buckets": [1, 0, 2], "sum": 5.0, "count": 3},
-                {"buckets": [0, 4, 1], "sum": 9.0, "count": 5},
-            ]
-        )
-        assert merged == {"buckets": [1, 4, 3], "sum": 14.0, "count": 8}
 
 
 class TestLatencyTracker:
@@ -165,53 +153,28 @@ class TestLatencyTracker:
         assert types.count("abandoned_unrecovered") == 1
         assert types.count("epoch_latency") == 1
 
-    def test_registry_merge_sums_latency_series(self):
-        main, worker = MetricsRegistry(), MetricsRegistry()
-        for registry, latencies in ((main, [0.0, 3.0]), (worker, [3.0, 700.0])):
-            with obs_metrics.collecting(registry):
-                tracker = LatencyTracker(scheme="one")
-                for i, latency in enumerate(latencies):
-                    tracker.observe_delivery(f"m{i}", epoch=1, latency=latency)
-        main.merge(worker.snapshot())
-        merged = main.to_json()[LATENCY_METRIC]
-        late = merged["series"]["one|0|late"]
-        assert late["count"] == 3
-        assert late["sum"] == pytest.approx(706.0)
 
+class TestShardedLatency:
+    def test_series_carry_real_shard_labels(self):
+        from repro.server.sharded import ShardedOneTreeServer
 
-def _sharded_latency_snapshot(workers: int, backend: str):
-    from repro.server.sharded import ShardedOneTreeServer
-
-    server = ShardedOneTreeServer(shards=4, workers=workers, backend=backend)
-    config = SimulationConfig(
-        arrival_rate=1.0,
-        rekey_period=60.0,
-        horizon=480.0,
-        duration_model=TwoClassDuration(180.0, 2400.0, 0.7),
-        loss_population=LossPopulation.two_point(),
-        transport=WkaBkrProtocol(keys_per_packet=16),
-        verify=False,
-        seed=11,
-    )
-    try:
-        with obs.observe() as bundle:
-            GroupRekeyingSimulation(server, config).run()
-    finally:
-        server.close()
-    return bundle.registry.to_json().get(LATENCY_METRIC)
-
-
-class TestShardedLatencyMerge:
-    def test_workers4_histogram_matches_serial_byte_for_byte(self):
-        serial = _sharded_latency_snapshot(workers=1, backend="serial")
-        pooled = _sharded_latency_snapshot(workers=4, backend="thread")
-        assert serial is not None and serial["series"], "no latency observed"
-        # Shard labels must be real shard indices, not the "0" fallback.
-        shards = {key.split("|")[1] for key in serial["series"]}
-        assert len(shards) > 1
-        assert json.dumps(serial, sort_keys=True) == json.dumps(
-            pooled, sort_keys=True
+        config = SimulationConfig(
+            arrival_rate=1.0,
+            rekey_period=60.0,
+            horizon=480.0,
+            duration_model=TwoClassDuration(180.0, 2400.0, 0.7),
+            loss_population=LossPopulation.two_point(),
+            transport=WkaBkrProtocol(keys_per_packet=16),
+            verify=False,
+            seed=11,
         )
+        with obs.observe() as bundle:
+            GroupRekeyingSimulation(ShardedOneTreeServer(shards=4), config).run()
+        series = bundle.registry.to_json().get(LATENCY_METRIC)
+        assert series is not None and series["series"], "no latency observed"
+        # Shard labels must be real shard indices, not the "0" fallback.
+        shards = {key.split("|")[1] for key in series["series"]}
+        assert len(shards) > 1
 
 
 class TestChaosLatencyBattery:

@@ -81,18 +81,14 @@ def test_parse_prometheus_rejects_garbage():
         metrics.parse_prometheus("this is not an exposition line\n")
 
 
-def test_snapshot_is_picklable_and_merge_adds():
+def test_snapshot_is_picklable():
     registry = metrics.MetricsRegistry()
     registry.inc("crypto.wraps", 10)
     registry.observe("server.batch_cost", 5)
-    snap = pickle.loads(pickle.dumps(registry.snapshot()))
-
-    target = metrics.MetricsRegistry()
-    target.inc("crypto.wraps", 1)
-    target.merge(snap)
-    target.merge(snap)
-    assert target.counter_total("crypto.wraps") == 21
-    assert target.histogram("server.batch_cost").stats()["count"] == 2
+    snap = registry.snapshot()
+    assert pickle.loads(pickle.dumps(snap)) == snap
+    assert snap["crypto.wraps"]["series"] == {(): 10}
+    assert snap["server.batch_cost"]["series"][()]["count"] == 1
 
 
 def test_module_probes_are_noops_when_disabled():

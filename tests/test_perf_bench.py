@@ -43,10 +43,6 @@ TINY_BULK = BenchScenario(
     "tiny-bulk", 64, COST_ONLY, rounds=2, churn=4, sample_receivers=16,
     kernel="flat", bulk=True,
 )
-TINY_THREADED = BenchScenario(
-    "tiny-threaded", 64, COST_ONLY, rounds=2, churn=4, sample_receivers=16,
-    kernel="flat", bulk=True, threads=2, arena=True,
-)
 
 
 class TestBenchHarness:
@@ -140,39 +136,6 @@ class TestBenchHarness:
         assert result["flat_ref"] is None
         assert result["speedup_vs_flat"] is None
         assert result["mean_batch_cost_matches_flat"] is None
-
-    def test_threaded_scenario_records_bulk_reference(self):
-        result = run_scenario(TINY_THREADED)
-        assert result["threads"] == 2 and result["arena"] is True
-        # Threaded/arena cells diff against the single-threaded bulk
-        # engine on top of the object/flat references.
-        assert result["bulk_ref"] is not None
-        assert result["speedup_vs_bulk"] is not None
-        assert result["mean_batch_cost_matches_bulk"] is True
-        assert (
-            result["optimized"]["mean_batch_cost"]
-            == result["bulk_ref"]["mean_batch_cost"]
-        )
-
-    def test_single_threaded_cells_skip_the_bulk_reference(self):
-        result = run_scenario(TINY_BULK)
-        assert result["bulk_ref"] is None
-        assert result["speedup_vs_bulk"] is None
-        assert result["mean_batch_cost_matches_bulk"] is None
-
-    def test_matrices_carry_the_threaded_cells(self):
-        standard = {s.name: s for s in standard_scenarios()}
-        quick = {s.name: s for s in quick_scenarios()}
-        for name, threads in (
-            ("flat-bulk-t2-cost-100k", 2),
-            ("flat-bulk-t4-cost-100k", 4),
-        ):
-            cell = standard[name]
-            assert cell.bulk and cell.kernel == "flat"
-            assert cell.threads == threads and cell.arena
-            assert cell.members >= 100_000 and cell.mode == COST_ONLY
-        cell = quick["flat-bulk-t2-cost-10k"]
-        assert cell.threads == 2 and cell.arena and cell.bulk
 
     def test_record_env_snapshot_and_cpu_warning(self):
         report = run_bench(

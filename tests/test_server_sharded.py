@@ -1,17 +1,14 @@
 """ShardedOneTreeServer: determinism contract, parity, DEK stitch, snapshots.
 
 The sharding decomposition has one central promise: ``shards`` is a
-*protocol* parameter (it fixes placement and cost) while ``backend`` and
-``workers`` are pure *execution* parameters — any backend, any worker
-count, any run must emit byte-identical payloads for the same batches.
-And ``shards=1`` must reproduce the unsharded one-keytree scheme exactly
+*protocol* parameter (it fixes placement and cost), and every run must
+emit byte-identical payloads for the same batches.  And ``shards=1``
+must reproduce the unsharded one-keytree scheme exactly
 (same costs, same per-receiver decrypt counts), so the sharded server is
 a strict generalization, not a different scheme.
 """
 
 import json
-
-import pytest
 
 from repro.crypto.material import KeyGenerator
 from repro.members.member import Member
@@ -30,64 +27,39 @@ def churn_plan(rounds=4):
 
 
 def run_transcript(server, *, with_ciphertext=True):
-    """(cost, wire-tuples, advanced) per round; closes the server."""
+    """(cost, wire-tuples, advanced) per round."""
     transcript = []
     t = 0.0
-    try:
-        for joins, departures in churn_plan():
-            for m in joins:
-                server.join(m, t)
-            for m in departures:
-                server.leave(m, t)
-            result = server.rekey(now=t)
-            wire = []
-            for ek in result.encrypted_keys:
-                row = (
-                    ek.wrapping_id,
-                    ek.wrapping_version,
-                    ek.payload_id,
-                    ek.payload_version,
-                )
-                if with_ciphertext:
-                    row = row + (ek.ciphertext,)
-                wire.append(row)
-            transcript.append((result.cost, tuple(wire), tuple(result.advanced)))
-            t += 10.0
-    finally:
-        if isinstance(server, ShardedOneTreeServer):
-            server.close()
+    for joins, departures in churn_plan():
+        for m in joins:
+            server.join(m, t)
+        for m in departures:
+            server.leave(m, t)
+        result = server.rekey(now=t)
+        wire = []
+        for ek in result.encrypted_keys:
+            row = (
+                ek.wrapping_id,
+                ek.wrapping_version,
+                ek.payload_id,
+                ek.payload_version,
+            )
+            if with_ciphertext:
+                row = row + (ek.ciphertext,)
+            wire.append(row)
+        transcript.append((result.cost, tuple(wire), tuple(result.advanced)))
+        t += 10.0
     return transcript
 
 
-class TestBackendInvariance:
-    def sharded(self, backend, workers, **kwargs):
-        return ShardedOneTreeServer(
-            shards=kwargs.pop("shards", 4),
-            workers=workers,
-            backend=backend,
-            degree=4,
-            keygen=KeyGenerator(seed=41),
-            **kwargs,
-        )
+class TestDeterminism:
+    def test_rerun_is_byte_identical(self):
+        def sharded():
+            return ShardedOneTreeServer(
+                shards=4, degree=4, keygen=KeyGenerator(seed=41)
+            )
 
-    def test_serial_rerun_is_byte_identical(self):
-        first = run_transcript(self.sharded("serial", 1))
-        second = run_transcript(self.sharded("serial", 1))
-        assert first == second
-
-    @pytest.mark.parametrize(
-        "backend,workers", [("thread", 2), ("process", 1), ("process", 2)]
-    )
-    def test_backends_are_byte_identical_to_serial(self, backend, workers):
-        reference = run_transcript(self.sharded("serial", 1))
-        other = run_transcript(self.sharded(backend, workers))
-        assert other == reference
-
-    def test_worker_count_never_changes_payload(self):
-        reference = run_transcript(self.sharded("serial", 1, shards=8))
-        for workers in (2, 8):
-            got = run_transcript(self.sharded("thread", workers, shards=8))
-            assert got == reference
+        assert run_transcript(sharded()) == run_transcript(sharded())
 
 
 class TestSingleShardParity:
@@ -98,40 +70,35 @@ class TestSingleShardParity:
         decrypts = {}
         members = {}
         t = 0.0
-        try:
-            for joins, departures in churn_plan():
-                regs = {m: server.join(m, t) for m in joins}
-                for m in departures:
-                    server.leave(m, t)
-                result = server.rekey(now=t)
-                costs.append(result.cost)
-                for m in departures:
-                    members.pop(m, None)
-                index = result.index()
-                for member_id, member in members.items():
-                    wanted = index.closure(member.held_versions())
-                    decrypts.setdefault(member_id, []).append(len(wanted))
-                    member.absorb(result.encrypted_keys, index=index)
-                for member_id, reg in regs.items():
-                    member = Member(member_id, reg.individual_key)
-                    member.absorb(result.encrypted_keys, index=index)
-                    members[member_id] = member
-                dek = server.group_key()
-                for member in members.values():
-                    assert member.holds(dek.key_id, dek.version)
-                t += 10.0
-        finally:
-            if isinstance(server, ShardedOneTreeServer):
-                server.close()
+        for joins, departures in churn_plan():
+            regs = {m: server.join(m, t) for m in joins}
+            for m in departures:
+                server.leave(m, t)
+            result = server.rekey(now=t)
+            costs.append(result.cost)
+            for m in departures:
+                members.pop(m, None)
+            index = result.index()
+            for member_id, member in members.items():
+                wanted = index.closure(member.held_versions())
+                decrypts.setdefault(member_id, []).append(len(wanted))
+                member.absorb(result.encrypted_keys, index=index)
+            for member_id, reg in regs.items():
+                member = Member(member_id, reg.individual_key)
+                member.absorb(result.encrypted_keys, index=index)
+                members[member_id] = member
+            dek = server.group_key()
+            for member in members.values():
+                assert member.holds(dek.key_id, dek.version)
+            t += 10.0
         return costs, decrypts
 
-    @pytest.mark.parametrize("workers,backend", [(1, "serial"), (2, "thread")])
-    def test_matches_one_tree_server(self, workers, backend):
+    def test_matches_one_tree_server(self):
         one_costs, one_decrypts = self.run_costs_and_decrypts(
             OneTreeServer(degree=4)
         )
         sharded_costs, sharded_decrypts = self.run_costs_and_decrypts(
-            ShardedOneTreeServer(shards=1, workers=workers, backend=backend)
+            ShardedOneTreeServer(shards=1)
         )
         assert sharded_costs == one_costs
         assert sharded_decrypts == one_decrypts
@@ -193,13 +160,9 @@ class TestShardedSnapshot:
     """Satellite: per-shard heaps + RNG stream states round-trip so a
     restored sharded server re-derives byte-identical payloads."""
 
-    def build_mid_scenario(self, backend="serial", workers=1):
+    def build_mid_scenario(self):
         server = ShardedOneTreeServer(
-            shards=4,
-            degree=4,
-            workers=workers,
-            backend=backend,
-            keygen=KeyGenerator(seed=42),
+            shards=4, degree=4, keygen=KeyGenerator(seed=42)
         )
         for i in range(20):
             server.join(f"m{i}", 0.0)
@@ -230,23 +193,29 @@ class TestShardedSnapshot:
             (ek.ciphertext) for ek in restored.encrypted_keys
         ] == [(ek.ciphertext) for ek in original.encrypted_keys]
         assert twin.group_key() == server.group_key()
-        server.close()
-        twin.close()
 
-    def test_restore_crosses_backends(self):
-        """A snapshot taken from a serial server restores into its saved
-        backend and still re-derives the identical payload."""
+    def test_restore_ignores_legacy_execution_keys(self):
+        """Snapshots no longer record the shard executor's settings
+        (``workers``/``backend``/``payload``); older ones that do still
+        load, and the restored server's next batch is byte-identical to
+        the live one's."""
         server = self.build_mid_scenario()
         state = json.loads(json.dumps(snapshot_server(server)))
-        state["backend"] = "thread"
-        state["workers"] = 2
+        assert not {"workers", "backend", "payload"} & set(state)
+        state.update({"workers": 2, "backend": "process", "payload": "handles"})
         twin = restore_server(state)
-        assert twin.backend == "thread"
         original = self.continue_run(server)
         restored = self.continue_run(twin)
-        assert restored.encrypted_keys == original.encrypted_keys
-        server.close()
-        twin.close()
+        assert [
+            (ek.wrapping_id, ek.wrapping_version, ek.payload_id,
+             ek.payload_version, ek.ciphertext)
+            for ek in restored.encrypted_keys
+        ] == [
+            (ek.wrapping_id, ek.wrapping_version, ek.payload_id,
+             ek.payload_version, ek.ciphertext)
+            for ek in original.encrypted_keys
+        ]
+        assert twin.group_key() == server.group_key()
 
     def test_snapshot_preserves_shard_assignment(self):
         server = self.build_mid_scenario()
@@ -256,5 +225,3 @@ class TestShardedSnapshot:
             assert twin.sharded.shard_holding(member) == (
                 server.sharded.shard_holding(member)
             )
-        server.close()
-        twin.close()
